@@ -9,6 +9,7 @@ package decentmeter
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -150,6 +151,57 @@ func BenchmarkChainVerify(b *testing.B) {
 			b.Fatal(bad, err)
 		}
 	}
+}
+
+// BenchmarkChainFile is the auditor's path on one 40 k-record block (a
+// mobility flush: 625 devices draining 64-measurement tails): write the chain
+// file, load it (decode + Import's link and Merkle checks), verify it. Each
+// reports ns per record beside ns/op.
+func BenchmarkChainFile(b *testing.B) {
+	const records = 40000
+	recs := make([]blockchain.Record, records)
+	for i := range recs {
+		recs[i] = blockchain.Record{
+			DeviceID: fmt.Sprintf("device-%04d", i/64), Seq: uint64(i % 64), HomeAggregator: "agg1", ReportedVia: "agg1",
+			Timestamp: time.Unix(1588154400, int64(i)*1e8).UTC(), Interval: 100 * time.Millisecond,
+			Current: 80 * units.Milliampere, Voltage: 5 * units.Volt, Energy: 11, Buffered: true,
+		}
+	}
+	chain := blockchain.NewChain(nil)
+	if _, err := chain.AppendUnsealed("agg1", time.Unix(1588154400, 0), recs); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "agg1.chain")
+	if err := chain.WriteFile(path); err != nil {
+		b.Fatal(err)
+	}
+	perRecord := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
+	}
+	b.Run("write", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := chain.WriteFile(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+	})
+	b.Run("read", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := blockchain.ReadFile(path, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+	})
+	b.Run("verify", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if bad, err := chain.Verify(); err != nil {
+				b.Fatal(bad, err)
+			}
+		}
+		perRecord(b)
+	})
 }
 
 func BenchmarkMerkleProof(b *testing.B) {

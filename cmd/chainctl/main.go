@@ -1,10 +1,12 @@
-// Command chainctl inspects and verifies metering blockchain files written
-// by meterd or cmd/experiments:
+// Command chainctl inspects and verifies metering blockchain files (the
+// binary block log of blockchain.WriteFile) written by meterd or
+// cmd/experiments. The files are not text: show and device are how a person
+// reads one.
 //
-//	chainctl verify  chain.jsonl            # full integrity check
-//	chainctl show    chain.jsonl            # block-by-block summary
-//	chainctl device  chain.jsonl device1    # one device's stored records
-//	chainctl tamper  chain.jsonl            # corrupt a record, show detection
+//	chainctl verify  agg1.chain             # full integrity check
+//	chainctl show    agg1.chain             # block-by-block summary
+//	chainctl device  agg1.chain device1     # one device's stored records
+//	chainctl tamper  agg1.chain             # corrupt a record, show detection
 //	chainctl anchors anchor.chain [nb.chain ...]  # federation anchor audit
 //	chainctl repair  damaged.chain healthy.chain [anchor.chain]
 //
@@ -12,9 +14,10 @@
 // with the aggregators); the hash chain and Merkle roots are still fully
 // validated.
 //
-// repair rebuilds a damaged chain file — truncated mid-block, bit-flipped
+// repair rebuilds a damaged chain file — truncated mid-frame, bit-flipped
 // header/record bytes, a duplicated tail — from a healthy peer's export of
-// the same chain. The damaged file's surviving valid prefix is located,
+// the same chain. The damaged file's surviving valid prefix is located (the
+// damage is reported by frame number and byte offset),
 // byte-compared against the donor (a divergent history is refused: that is
 // disagreement, not damage), and the donor's verified content replaces the
 // file atomically. With an anchor chain as the third argument the repaired

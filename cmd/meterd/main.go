@@ -764,27 +764,42 @@ func (s *server) persist() {
 	if s.chain.Length() == 0 {
 		return
 	}
-	if err := s.chain.WriteFile(s.chainPath); err != nil {
-		s.logger.Printf("persist chain: %v", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "meterd: %d blocks (%d records) written to %s\n",
-		s.chain.Length(), s.chain.TotalRecords(), s.chainPath)
+	// Every other replica's copy lands next to the primary; chainctl
+	// verify passes on each, and the files are byte-identical. They are
+	// independent chains and independent fsyncs, so they are written at
+	// once.
+	chains := []*blockchain.Chain{s.chain}
+	paths := []string{s.chainPath}
 	if s.rep != nil {
-		// Every other replica's copy lands next to the primary; chainctl
-		// verify passes on each, and the files are byte-identical.
 		for k := 1; k < len(s.rep.ids); k++ {
 			id := s.rep.ids[k]
-			path := fmt.Sprintf("%s.r%d", s.chainPath, k)
 			if got := s.rep.chains[id].Length(); got != s.chain.Length() {
 				s.logger.Printf("WARNING: replica %s diverged (%d blocks vs %d, %d import errors)",
 					id, got, s.chain.Length(), s.rep.importErrs[id])
 			}
-			if err := s.rep.chains[id].WriteFile(path); err != nil {
-				s.logger.Printf("persist replica %d: %v", k, err)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "meterd: replica %d chain written to %s\n", k, path)
+			chains = append(chains, s.rep.chains[id])
+			paths = append(paths, fmt.Sprintf("%s.r%d", s.chainPath, k))
+		}
+	}
+	errs := make([]error, len(chains))
+	var wg sync.WaitGroup
+	for k := range chains {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = chains[k].WriteFile(paths[k])
+		}()
+	}
+	wg.Wait()
+	for k, err := range errs {
+		switch {
+		case err != nil:
+			s.logger.Printf("persist chain %s: %v", paths[k], err)
+		case k == 0:
+			fmt.Fprintf(os.Stderr, "meterd: %d blocks (%d records) written to %s\n",
+				s.chain.Length(), s.chain.TotalRecords(), s.chainPath)
+		default:
+			fmt.Fprintf(os.Stderr, "meterd: replica %d chain written to %s\n", k, paths[k])
 		}
 	}
 }

@@ -1,16 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"decentmeter/internal/blockchain"
 	"decentmeter/internal/mqtt"
 	"decentmeter/internal/protocol"
 	"decentmeter/internal/telemetry"
@@ -21,7 +24,8 @@ import (
 // listeners: a 3-replica consensus-sealed meterd with the observability
 // plane on, a device publishing reports over MQTT, and every -telemetry
 // endpoint answered with live (non-zero) ingest, consensus and seal
-// instruments plus at least one complete sampled report journey.
+// instruments plus at least one complete sampled report journey; then the
+// shutdown persist of all three replica chains.
 func TestTelemetryEndToEnd(t *testing.T) {
 	s, err := newServer(daemonConfig{
 		ID:         "e2e",
@@ -194,5 +198,29 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	// pprof is mounted.
 	if code, _ = get("/debug/pprof/"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/: HTTP %d", code)
+	}
+
+	// Shutdown writes every replica's chain at once: three byte-identical
+	// files, each of which an auditor can load and verify.
+	s.persist()
+	primary, err := os.ReadFile(s.chainPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{s.chainPath, s.chainPath + ".r1", s.chainPath + ".r2"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, primary) {
+			t.Errorf("%s differs from the primary's chain file", path)
+		}
+		chain, err := blockchain.ReadFile(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := chain.Verify(); err != nil || chain.TotalRecords() == 0 {
+			t.Errorf("%s: %d records, verify: %v", path, chain.TotalRecords(), err)
+		}
 	}
 }

@@ -2,8 +2,8 @@
 // neighborhood cluster periodically commits its latest block root and
 // height into an AnchorRecord sealed on a regional super-chain. The anchor
 // chain is an ordinary Chain — anchor records ride the existing injective
-// Record encoding (and therefore the Merkle tree, the JSON-lines file
-// format and chainctl) by mapping:
+// Record encoding (and therefore the Merkle tree, the chain file format
+// and chainctl) by mapping:
 //
 //	DeviceID       <- cluster ID          (the "meter" being anchored)
 //	Seq            <- neighborhood height (blocks sealed at anchoring time)

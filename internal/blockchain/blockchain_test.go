@@ -2,7 +2,11 @@ package blockchain
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -140,6 +144,47 @@ func TestMerkleProofAllSizes(t *testing.T) {
 			if VerifyProof(other, proof, root) {
 				t.Fatalf("n=%d i=%d: forged leaf accepted", n, i)
 			}
+		}
+	}
+}
+
+// The parallel root is the sequential root, bit for bit, at every width and
+// on both sides of every chunk boundary. The largest block goes first, so
+// the rest run in scratch buffers larger than they need.
+func TestRecordsRootMatchesSequentialFold(t *testing.T) {
+	sizes := []int{1<<16 + 3, 1, 2, merkleChunk - 1, merkleChunk, merkleChunk + 1, 3*merkleChunk + 1, 40001}
+	recs := make([]Record, sizes[0])
+	for i := range recs {
+		recs[i] = mkRecord(fmt.Sprintf("d%d", i%97), uint64(i))
+	}
+	leaves := leafHashes(recs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		c := NewChain(nil)
+		for _, n := range sizes {
+			want := merkleRootInPlace(append([]Hash(nil), leaves[:n]...))
+			for _, workers := range []int{auditWorkers(), sealWorkers()} {
+				if got := c.recordsRoot(recs[:n], workers); got != want {
+					t.Fatalf("GOMAXPROCS=%d, %d workers, %d records: root %s, want %s", procs, workers, n, got, want)
+				}
+			}
+		}
+	}
+	// Inclusion proofs are built from the leaves alone and must still land
+	// on the root a multi-chunk block was sealed with.
+	c := NewChain(nil)
+	blk, err := c.AppendUnsealed("agg1", t0, recs[:merkleChunk+1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{0, merkleChunk - 1, merkleChunk} {
+		proof, err := c.ProveRecord(0, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !VerifyProof(leaves[idx], proof, blk.Header.MerkleRoot) {
+			t.Fatalf("proof for record %d of a two-chunk block rejected", idx)
 		}
 	}
 }
@@ -350,14 +395,16 @@ func TestChainProveRecord(t *testing.T) {
 
 func TestChainFileRoundTrip(t *testing.T) {
 	c, signer := newSignedChain(t)
+	// A record over 127 bytes takes a two-byte length in its frame.
+	long := mkRecord(strings.Repeat("device-with-a-very-long-name/", 6), 9)
 	for i := 0; i < 4; i++ {
 		if _, err := c.Seal(signer, t0.Add(time.Duration(i)*time.Minute), []Record{
-			mkRecord("d1", uint64(i)), mkRecord("d2", uint64(i)),
+			mkRecord("d1", uint64(i)), long, mkRecord("d2", uint64(i)),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
+	path := filepath.Join(t.TempDir(), "agg1.chain")
 	if err := c.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +412,13 @@ func TestChainFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Length() != 4 || got.TotalRecords() != 8 {
+	if got.Length() != 4 || got.TotalRecords() != 12 {
 		t.Fatalf("reloaded %d blocks / %d records", got.Length(), got.TotalRecords())
+	}
+	for i, b := range got.blocks {
+		if !slices.Equal(b.Records, c.blocks[i].Records) || !sigEqual(b.Sig, c.blocks[i].Sig) {
+			t.Fatalf("block %d changed across file round trip", i)
+		}
 	}
 	if bad, err := got.Verify(); err != nil || bad != -1 {
 		t.Fatalf("reloaded chain verify: %d, %v", bad, err)
@@ -380,7 +432,7 @@ func TestChainFileTamperDetectedOnLoad(t *testing.T) {
 	c, signer := newSignedChain(t)
 	c.Seal(signer, t0, []Record{mkRecord("d", 0)})
 	c.Seal(signer, t0, []Record{mkRecord("d", 1)})
-	path := filepath.Join(t.TempDir(), "chain.jsonl")
+	path := filepath.Join(t.TempDir(), "agg1.chain")
 	if err := c.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -395,12 +447,6 @@ func TestChainFileTamperDetectedOnLoad(t *testing.T) {
 	}
 	if _, err := ReadFile(path, c.authority); err == nil {
 		t.Fatal("tampered chain file loaded cleanly")
-	}
-}
-
-func TestReadFileIfExists(t *testing.T) {
-	if _, err := ReadFileIfExists(filepath.Join(t.TempDir(), "nope.jsonl"), nil); !errors.Is(err, ErrNoChainFile) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -81,19 +81,6 @@ func leafHashes(records []Record) []Hash {
 	return leaves
 }
 
-// leafHashesScratch computes leaf hashes into the chain's reusable buffer.
-// The result is only valid until the next call.
-func (c *Chain) leafHashesScratch(records []Record) []Hash {
-	if cap(c.leafBuf) < len(records) {
-		c.leafBuf = make([]Hash, len(records))
-	}
-	leaves := c.leafBuf[:len(records)]
-	for i, r := range records {
-		leaves[i], c.marshalBuf = hashRecordInto(r, c.marshalBuf[:0])
-	}
-	return leaves
-}
-
 // Signer produces blocks for one aggregator identity.
 type Signer struct {
 	id  string
@@ -207,7 +194,7 @@ func (c *Chain) Block(i int) (*Block, error) {
 }
 
 // Seal builds, signs and appends a block containing records. The Merkle
-// root is computed once in the chain's scratch buffers; the signature is
+// root is computed once (see recordsRoot); the signature is
 // still verified against the authority set so an unadmitted or forged
 // signer cannot extend the chain.
 func (c *Chain) Seal(s *Signer, at time.Time, records []Record) (*Block, error) {
@@ -218,7 +205,7 @@ func (c *Chain) Seal(s *Signer, at time.Time, records []Record) (*Block, error) 
 	hdr := Header{
 		Index:      index,
 		PrevHash:   prev,
-		MerkleRoot: merkleRootInPlace(c.leafHashesScratch(records)),
+		MerkleRoot: c.recordsRoot(records, sealWorkers()),
 		Timestamp:  at.UTC(),
 		Producer:   s.ID(),
 	}
@@ -261,7 +248,7 @@ func (c *Chain) PrepareBlockAt(s *Signer, at time.Time, index uint64, prev Hash,
 	hdr := Header{
 		Index:      index,
 		PrevHash:   prev,
-		MerkleRoot: merkleRootInPlace(c.leafHashesScratch(records)),
+		MerkleRoot: c.recordsRoot(records, sealWorkers()),
 		Timestamp:  at.UTC(),
 		Producer:   s.ID(),
 	}
@@ -288,7 +275,7 @@ func (c *Chain) AppendUnsealed(producer string, at time.Time, records []Record) 
 	hdr := Header{
 		Index:      index,
 		PrevHash:   prev,
-		MerkleRoot: merkleRootInPlace(c.leafHashesScratch(records)),
+		MerkleRoot: c.recordsRoot(records, sealWorkers()),
 		Timestamp:  at.UTC(),
 		Producer:   producer,
 	}
@@ -330,7 +317,7 @@ func (c *Chain) UnsignedBlocks() int { return c.unsigned }
 // block expected at (wantPrev, wantIndex): emptiness, chain linkage, index
 // and Merkle root. Single-block append and ImportBatch share it, so a rule
 // added here applies to both import paths.
-func (c *Chain) validateLink(b *Block, wantPrev Hash, wantIndex uint64) error {
+func (c *Chain) validateLink(b *Block, wantPrev Hash, wantIndex uint64, workers int) error {
 	if len(b.Records) == 0 {
 		return ErrEmptyBlock
 	}
@@ -340,7 +327,7 @@ func (c *Chain) validateLink(b *Block, wantPrev Hash, wantIndex uint64) error {
 	if b.Header.Index != wantIndex {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadIndex2, b.Header.Index, wantIndex)
 	}
-	if b.Header.MerkleRoot != merkleRootInPlace(c.leafHashesScratch(b.Records)) {
+	if b.Header.MerkleRoot != c.recordsRoot(b.Records, workers) {
 		return ErrBadMerkleRoot
 	}
 	return nil
@@ -355,10 +342,11 @@ func (c *Chain) nextLink() (Hash, uint64) {
 	return Hash{}, 0
 }
 
-// append validates and links an externally produced block.
-func (c *Chain) append(b *Block) error {
+// append validates and links an externally produced block, hashing its
+// records on up to workers goroutines (see recordsRoot).
+func (c *Chain) append(b *Block, workers int) error {
 	wantPrev, wantIndex := c.nextLink()
-	if err := c.validateLink(b, wantPrev, wantIndex); err != nil {
+	if err := c.validateLink(b, wantPrev, wantIndex, workers); err != nil {
 		return err
 	}
 	if c.authority != nil {
@@ -372,7 +360,7 @@ func (c *Chain) append(b *Block) error {
 
 // Import appends an externally produced block (e.g. received from another
 // aggregator over the backhaul) after full validation.
-func (c *Chain) Import(b *Block) error { return c.append(b) }
+func (c *Chain) Import(b *Block) error { return c.append(b, sealWorkers()) }
 
 // ImportBatch appends a group of externally produced blocks atomically
 // (group commit): first a structural pass links the whole group (emptiness,
@@ -387,7 +375,7 @@ func (c *Chain) ImportBatch(blocks []*Block) error {
 	}
 	wantPrev, wantIndex := c.nextLink()
 	for i, b := range blocks {
-		if err := c.validateLink(b, wantPrev, wantIndex); err != nil {
+		if err := c.validateLink(b, wantPrev, wantIndex, sealWorkers()); err != nil {
 			return fmt.Errorf("blockchain: import batch block %d: %w", i, err)
 		}
 		wantPrev = b.Hash()
@@ -416,7 +404,7 @@ func (c *Chain) Verify() (int, error) {
 		if b.Header.Index != uint64(i) {
 			return i, fmt.Errorf("%w: block %d: %v", ErrTampered, i, ErrBadIndex2)
 		}
-		if b.Header.MerkleRoot != merkleRootInPlace(c.leafHashesScratch(b.Records)) {
+		if b.Header.MerkleRoot != c.recordsRoot(b.Records, auditWorkers()) {
 			return i, fmt.Errorf("%w: block %d: %v", ErrTampered, i, ErrBadMerkleRoot)
 		}
 		if c.authority != nil {

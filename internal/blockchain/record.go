@@ -119,49 +119,59 @@ func (r Record) AppendMarshal(dst []byte) []byte {
 // UnmarshalRecord parses a canonical encoding.
 func UnmarshalRecord(b []byte) (Record, error) {
 	var r Record
+	err := unmarshalRecordInto(&r, b, nil, &r)
+	return r, err
+}
+
+// unmarshalRecordInto parses a canonical encoding into *r. Identifier
+// strings come from in (nil copies them), so that loading a chain file
+// allocates per distinct identifier, not per record; like is the record
+// decoded just before (or r itself), whose identifiers are reused without a
+// lookup when they are the same — in a sealed block they nearly always are.
+func unmarshalRecordInto(r *Record, b []byte, in interner, like *Record) error {
 	var err error
-	if r.DeviceID, b, err = readLenString(b); err != nil {
-		return r, fmt.Errorf("blockchain: record device id: %w", err)
+	if r.DeviceID, b, err = readLenString(b, in, like.DeviceID); err != nil {
+		return fmt.Errorf("blockchain: record device id: %w", err)
 	}
 	if r.Seq, b, err = readUvarint(b); err != nil {
-		return r, fmt.Errorf("blockchain: record seq: %w", err)
+		return fmt.Errorf("blockchain: record seq: %w", err)
 	}
-	if r.HomeAggregator, b, err = readLenString(b); err != nil {
-		return r, fmt.Errorf("blockchain: record home: %w", err)
+	if r.HomeAggregator, b, err = readLenString(b, in, like.HomeAggregator); err != nil {
+		return fmt.Errorf("blockchain: record home: %w", err)
 	}
-	if r.ReportedVia, b, err = readLenString(b); err != nil {
-		return r, fmt.Errorf("blockchain: record via: %w", err)
+	if r.ReportedVia, b, err = readLenString(b, in, like.ReportedVia); err != nil {
+		return fmt.Errorf("blockchain: record via: %w", err)
 	}
 	var ts int64
 	if ts, b, err = readVarint(b); err != nil {
-		return r, fmt.Errorf("blockchain: record timestamp: %w", err)
+		return fmt.Errorf("blockchain: record timestamp: %w", err)
 	}
 	r.Timestamp = time.Unix(0, ts).UTC()
 	var v int64
 	if v, b, err = readVarint(b); err != nil {
-		return r, fmt.Errorf("blockchain: record interval: %w", err)
+		return fmt.Errorf("blockchain: record interval: %w", err)
 	}
 	r.Interval = time.Duration(v)
 	if v, b, err = readVarint(b); err != nil {
-		return r, fmt.Errorf("blockchain: record current: %w", err)
+		return fmt.Errorf("blockchain: record current: %w", err)
 	}
 	r.Current = units.Current(v)
 	if v, b, err = readVarint(b); err != nil {
-		return r, fmt.Errorf("blockchain: record voltage: %w", err)
+		return fmt.Errorf("blockchain: record voltage: %w", err)
 	}
 	r.Voltage = units.Voltage(v)
 	if v, b, err = readVarint(b); err != nil {
-		return r, fmt.Errorf("blockchain: record energy: %w", err)
+		return fmt.Errorf("blockchain: record energy: %w", err)
 	}
 	r.Energy = units.Energy(v)
 	if len(b) < 1 {
-		return r, fmt.Errorf("blockchain: record truncated before flags")
+		return fmt.Errorf("blockchain: record truncated before flags")
 	}
 	r.Buffered = b[0] == 1
 	if len(b) != 1 {
-		return r, fmt.Errorf("blockchain: record has %d trailing bytes", len(b)-1)
+		return fmt.Errorf("blockchain: record has %d trailing bytes", len(b)-1)
 	}
-	return r, nil
+	return nil
 }
 
 // HashRecord returns the leaf hash of a record. Leaves are domain-separated
@@ -198,7 +208,9 @@ func readVarint(b []byte) (int64, []byte, error) {
 	return v, b[n:], nil
 }
 
-func readLenString(b []byte) (string, []byte, error) {
+// readLenString reads a length-prefixed string; see interner.str for in and
+// hint.
+func readLenString(b []byte, in interner, hint string) (string, []byte, error) {
 	n, rest, err := readUvarint(b)
 	if err != nil {
 		return "", nil, err
@@ -206,5 +218,5 @@ func readLenString(b []byte) (string, []byte, error) {
 	if uint64(len(rest)) < n {
 		return "", nil, fmt.Errorf("truncated string")
 	}
-	return string(rest[:n]), rest[n:], nil
+	return in.str(rest[:n], hint), rest[n:], nil
 }

@@ -12,7 +12,6 @@ import (
 	"io"
 	"math/big"
 	"os"
-	"path/filepath"
 )
 
 // RepairReport summarizes a RepairFile run.
@@ -81,7 +80,7 @@ func RepairFile(damagedPath, healthyPath string, authority *Authority) (*RepairR
 			// Identical content, different stored signature bytes: the flip
 			// a nil-authority load cannot see. Damage, and repairable.
 			if damage == nil {
-				damage = &Damage{Height: uint64(i), Reason: fmt.Sprintf("block %d: stored signature differs from the donor's", i)}
+				damage = &Damage{Frame: i + 1, Offset: -1, Height: uint64(i), Reason: fmt.Sprintf("block %d: stored signature differs from the donor's", i)}
 				report.Damage = damage
 			}
 			break
@@ -109,33 +108,15 @@ func RepairFile(damagedPath, healthyPath string, authority *Authority) (*RepairR
 	return report, nil
 }
 
-// replaceFile atomically replaces dst with a copy of src: the copy lands
-// in a temp file in dst's directory (same filesystem, so the rename is
-// atomic) and is synced before the swap.
+// replaceFile atomically replaces dst with a copy of src.
 func replaceFile(dst, src string) error {
 	in, err := os.Open(src)
 	if err != nil {
 		return fmt.Errorf("blockchain: repair copy: %w", err)
 	}
 	defer in.Close()
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".repair-*")
-	if err != nil {
-		return fmt.Errorf("blockchain: repair temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := io.Copy(tmp, in); err != nil {
-		tmp.Close()
-		return fmt.Errorf("blockchain: repair copy: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("blockchain: repair sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("blockchain: repair close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return fmt.Errorf("blockchain: repair rename: %w", err)
-	}
-	return nil
+	return writeFileAtomic(dst, func(w io.Writer) error {
+		_, err := io.Copy(w, in)
+		return err
+	})
 }

@@ -2,6 +2,9 @@ package blockchain
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,27 +30,58 @@ func buildChainFile(t *testing.T, dir, name string, n int) (string, *Chain) {
 	return path, c
 }
 
-// flipAfter locates marker on line (0-based) lineNo and deterministically
-// changes the byte right after it — inside a base64 or hex value, a
-// single-character flip that keeps the encoding valid but the content
-// wrong.
-func flipAfter(t *testing.T, data []byte, lineNo int, marker string) []byte {
+// frameSpan is one block's place in a chain file's bytes: the length prefix
+// starts at start, the frame is data[body:crc] and the CRC data[crc:end].
+type frameSpan struct{ start, body, crc, end int }
+
+// frameSpans walks a pristine chain file.
+func frameSpans(t testing.TB, data []byte) []frameSpan {
 	t.Helper()
-	lines := bytes.Split(data, []byte("\n"))
-	i := bytes.Index(lines[lineNo], []byte(marker))
-	if i < 0 {
-		t.Fatalf("marker %q not on line %d", marker, lineNo)
+	if string(data[:len(fileHeader)]) != fileHeader {
+		t.Fatalf("file starts %q, want the %q header", data[:len(fileHeader)], fileHeader)
 	}
-	p := i + len(marker)
-	c := lines[lineNo][p]
-	repl := byte('2')
-	if c == '2' {
-		repl = '3'
+	var spans []frameSpan
+	for off := len(fileHeader); off < len(data); {
+		n, k := binary.Uvarint(data[off:])
+		if k <= 0 {
+			t.Fatalf("bad frame length at byte %d", off)
+		}
+		sp := frameSpan{start: off, body: off + k, crc: off + k + int(n), end: off + k + int(n) + crc32.Size}
+		if sp.end > len(data) {
+			t.Fatalf("frame at byte %d runs past the file", off)
+		}
+		spans = append(spans, sp)
+		off = sp.end
 	}
-	lines[lineNo] = append([]byte(nil), lines[lineNo]...)
-	lines[lineNo][p] = repl
-	return bytes.Join(lines, []byte("\n"))
+	return spans
 }
+
+// Offsets into a frame written by buildChainFile (index < 128, so one byte).
+const (
+	prevHashAt   = 1
+	merkleRootAt = 1 + sha256.Size
+)
+
+// sigAt is the offset of the first byte of R's magnitude in b's frame.
+func sigAt(b *Block) int { return len(b.Header.appendMarshal(nil)) + 1 }
+
+// flip returns a copy of data with one bit of byte at changed, as a failing
+// disk would.
+func flip(data []byte, at int) []byte {
+	out := append([]byte(nil), data...)
+	out[at] ^= 0x04
+	return out
+}
+
+// edit is flip by someone who then recomputes the frame's CRC: only the hash
+// checks behind the CRC can catch it.
+func edit(data []byte, sp frameSpan, at int) []byte {
+	out := flip(data, at)
+	binary.BigEndian.PutUint32(out[sp.crc:], crc32.Checksum(out[sp.body:sp.crc], castagnoli))
+	return out
+}
+
+func splice(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 // The corruption table: every way a chain file goes bad on disk must load
 // back as a verified valid prefix plus a precise damage report — never a
@@ -55,93 +89,82 @@ func flipAfter(t *testing.T, data []byte, lineNo int, marker string) []byte {
 func TestReadFilePrefixCorruptionTable(t *testing.T) {
 	const blocks = 6
 	dir := t.TempDir()
-	path, orig := buildChainFile(t, dir, "chain.jsonl", blocks)
+	path, orig := buildChainFile(t, dir, "agg1.chain", blocks)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSuffix(pristine, []byte("\n")), []byte("\n"))
-	if len(lines) != blocks {
-		t.Fatalf("expected %d lines, got %d", blocks, len(lines))
+	sp := frameSpans(t, pristine)
+	if len(sp) != blocks {
+		t.Fatalf("expected %d frames, got %d", blocks, len(sp))
+	}
+	last := sp[blocks-1]
+	if last.body-last.start != 2 {
+		t.Fatalf("length prefix is %d bytes; the prefix-truncation case needs 2", last.body-last.start)
 	}
 
 	for _, tc := range []struct {
 		name       string
-		corrupt    func() []byte
-		wantPrefix int  // blocks that must survive
-		wantDamage bool // a Damage report is required
-		damageLine int  // 1-based, 0 = don't check
+		data       []byte
+		wantPrefix int    // blocks that must survive
+		wantDamage bool   // a Damage report is required
+		wantReason string // substring of Damage.Reason
 	}{
-		{
-			name: "truncation mid-block",
-			corrupt: func() []byte {
-				return pristine[:len(pristine)-len(lines[blocks-1])/2-1]
-			},
-			wantPrefix: blocks - 1, wantDamage: true, damageLine: blocks,
-		},
-		{
-			name: "truncation at line boundary",
-			// A cleanly shorter file is indistinguishable from a replica
-			// that sealed less: valid prefix, no damage. Catch-up is the
-			// consensus sync's job.
-			corrupt: func() []byte {
-				return pristine[:len(pristine)-len(lines[blocks-1])-1]
-			},
-			wantPrefix: blocks - 1, wantDamage: false,
-		},
-		{
-			name: "bit flip in header merkle root",
-			corrupt: func() []byte {
-				return flipAfter(t, pristine, 2, `"merkle_root":"`)
-			},
-			wantPrefix: 2, wantDamage: true, damageLine: 3,
-		},
-		{
-			name: "bit flip in prev hash",
-			corrupt: func() []byte {
-				return flipAfter(t, pristine, 3, `"prev_hash":"`)
-			},
-			wantPrefix: 3, wantDamage: true, damageLine: 4,
-		},
-		{
-			name: "bit flip in signature",
-			corrupt: func() []byte {
-				return flipAfter(t, pristine, 1, `"sig_r":"`)
-			},
-			wantPrefix: 1, wantDamage: true, damageLine: 2,
-		},
-		{
-			name: "bit flip in a record",
-			corrupt: func() []byte {
-				return flipAfter(t, pristine, 4, `"records":["`)
-			},
-			wantPrefix: 4, wantDamage: true, damageLine: 5,
-		},
-		{
-			name: "duplicated tail",
-			corrupt: func() []byte {
-				return append(append([]byte(nil), pristine...), append(lines[blocks-1], '\n')...)
-			},
-			wantPrefix: blocks, wantDamage: true, damageLine: blocks + 1,
-		},
-		{
-			name: "garbage line mid-file",
-			corrupt: func() []byte {
-				out := append([]byte(nil), bytes.Join(lines[:3], []byte("\n"))...)
-				out = append(out, []byte("\nnot json at all\n")...)
-				return append(out, bytes.Join(lines[3:], []byte("\n"))...)
-			},
-			wantPrefix: 3, wantDamage: true, damageLine: 4,
-		},
-		{
-			name:       "empty file",
-			corrupt:    func() []byte { return nil },
-			wantPrefix: 0, wantDamage: false,
-		},
+		{name: "truncation mid-block", data: pristine[:(last.body+last.crc)/2],
+			wantPrefix: blocks - 1, wantDamage: true, wantReason: "left in file"},
+		{name: "truncation inside the length prefix", data: pristine[:last.start+1],
+			wantPrefix: blocks - 1, wantDamage: true, wantReason: "inside a frame length"},
+		{name: "truncation inside the CRC", data: pristine[:last.end-2],
+			wantPrefix: blocks - 1, wantDamage: true, wantReason: "left in file"},
+		// A cleanly shorter file is indistinguishable from a replica that
+		// sealed less: valid prefix, no damage. Catch-up is the consensus
+		// sync's job.
+		{name: "truncation at frame boundary", data: pristine[:last.start],
+			wantPrefix: blocks - 1},
+
+		{name: "bit flip in header merkle root", data: flip(pristine, sp[2].body+merkleRootAt),
+			wantPrefix: 2, wantDamage: true, wantReason: "CRC"},
+		{name: "bit flip in prev hash", data: flip(pristine, sp[3].body+prevHashAt),
+			wantPrefix: 3, wantDamage: true, wantReason: "CRC"},
+		{name: "bit flip in signature", data: flip(pristine, sp[1].body+sigAt(orig.blocks[1])),
+			wantPrefix: 1, wantDamage: true, wantReason: "CRC"},
+		{name: "bit flip in a record", data: flip(pristine, sp[4].crc-3),
+			wantPrefix: 4, wantDamage: true, wantReason: "CRC"},
+		{name: "bit flip in the CRC", data: flip(pristine, sp[2].crc+1),
+			wantPrefix: 2, wantDamage: true, wantReason: "CRC"},
+		{name: "bit flip in the length prefix", data: flip(pristine, sp[3].start),
+			wantPrefix: 3, wantDamage: true},
+
+		// The same flips with the CRC recomputed get past it and must be
+		// stopped by the checks Import always ran.
+		{name: "edited header merkle root", data: edit(pristine, sp[2], sp[2].body+merkleRootAt),
+			wantPrefix: 2, wantDamage: true, wantReason: ErrBadMerkleRoot.Error()},
+		{name: "edited prev hash", data: edit(pristine, sp[3], sp[3].body+prevHashAt),
+			wantPrefix: 3, wantDamage: true, wantReason: ErrBadPrevHash.Error()},
+		{name: "edited signature", data: edit(pristine, sp[1], sp[1].body+sigAt(orig.blocks[1])),
+			wantPrefix: 1, wantDamage: true, wantReason: ErrBadSignature.Error()},
+		{name: "edited record", data: edit(pristine, sp[4], sp[4].crc-3),
+			wantPrefix: 4, wantDamage: true, wantReason: ErrBadMerkleRoot.Error()},
+
+		{name: "duplicated tail", data: splice(pristine, pristine[last.start:]),
+			wantPrefix: blocks, wantDamage: true, wantReason: ErrBadPrevHash.Error()},
+		{name: "garbage mid-file", data: splice(pristine[:sp[3].start], []byte("not a frame at all\n"), pristine[sp[3].start:]),
+			wantPrefix: 3, wantDamage: true},
+		{name: "oversized declared length", data: splice(pristine[:sp[4].start], appendUvarint(nil, 1<<40), pristine[sp[4].body:]),
+			wantPrefix: 4, wantDamage: true, wantReason: "left in file"},
+		{name: "declared length overflows", data: splice(pristine[:sp[4].start], bytes.Repeat([]byte{0xff}, 11)),
+			wantPrefix: 4, wantDamage: true, wantReason: "overflows"},
+		{name: "JSON-lines input", data: []byte(`{"index":0,"prev_hash":"AAAA","merkle_root":"AAAA","timestamp_ns":1,"producer":"agg1","sig_r":"1","sig_s":"1","records":["AAAA"]}` + "\n"),
+			wantPrefix: 0, wantDamage: true, wantReason: "JSON-lines"},
+		{name: "unknown version", data: splice([]byte(fileMagic), []byte{fileVersion + 1}, pristine[len(fileHeader):]),
+			wantPrefix: 0, wantDamage: true, wantReason: "version"},
+		{name: "truncation inside the file header", data: pristine[:3],
+			wantPrefix: 0, wantDamage: true, wantReason: "file header"},
+		{name: "empty file", data: nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := filepath.Join(t.TempDir(), "damaged.jsonl")
-			if err := os.WriteFile(p, tc.corrupt(), 0o644); err != nil {
+			p := filepath.Join(t.TempDir(), "damaged.chain")
+			if err := os.WriteFile(p, tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			prefix, damage, err := ReadFilePrefix(p, orig.authority)
@@ -155,11 +178,24 @@ func TestReadFilePrefixCorruptionTable(t *testing.T) {
 				t.Fatalf("damage = %v, want reported: %v", damage, tc.wantDamage)
 			}
 			if damage != nil {
-				if tc.damageLine != 0 && damage.Line != tc.damageLine {
-					t.Fatalf("damage at line %d, want %d (%s)", damage.Line, tc.damageLine, damage)
+				// The damaged frame is the one after the surviving prefix and
+				// starts where the pristine file's frame does; damage to the
+				// file header is frame 0 at byte 0.
+				wantFrame, wantOffset := tc.wantPrefix+1, int64(len(pristine))
+				if tc.wantPrefix < blocks {
+					wantOffset = int64(sp[tc.wantPrefix].start)
+				}
+				if tc.wantPrefix == 0 {
+					wantFrame, wantOffset = 0, 0
+				}
+				if damage.Frame != wantFrame || damage.Offset != wantOffset {
+					t.Fatalf("damage at frame %d byte %d, want frame %d byte %d (%s)", damage.Frame, damage.Offset, wantFrame, wantOffset, damage)
 				}
 				if damage.Height != uint64(tc.wantPrefix) {
 					t.Fatalf("damage height %d, want %d", damage.Height, tc.wantPrefix)
+				}
+				if !strings.Contains(damage.Reason, tc.wantReason) {
+					t.Fatalf("damage reason %q, want it to mention %q", damage.Reason, tc.wantReason)
 				}
 			}
 			if at, err := prefix.Verify(); err != nil {
@@ -182,17 +218,19 @@ func TestReadFilePrefixCorruptionTable(t *testing.T) {
 	}
 }
 
-// A signature bit flip is invisible to a nil-authority prefix load (the
-// bytes are not checked), which is exactly why RepairFile byte-compares
-// against the donor even when the file loads clean.
+// A signature altered together with its frame's CRC is invisible to a
+// nil-authority prefix load (the signature bytes are not checked), which is
+// exactly why RepairFile byte-compares against the donor even when the file
+// loads clean.
 func TestReadFilePrefixSigFlipInvisibleWithoutAuthority(t *testing.T) {
 	dir := t.TempDir()
-	path, _ := buildChainFile(t, dir, "chain.jsonl", 4)
+	path, orig := buildChainFile(t, dir, "agg1.chain", 4)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, flipAfter(t, data, 2, `"sig_r":"`), 0o644); err != nil {
+	sp := frameSpans(t, data)
+	if err := os.WriteFile(path, edit(data, sp[2], sp[2].body+sigAt(orig.blocks[2])), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	prefix, damage, err := ReadFilePrefix(path, nil)
@@ -206,8 +244,8 @@ func TestReadFilePrefixSigFlipInvisibleWithoutAuthority(t *testing.T) {
 
 func TestRepairFileRestoresDamagedTail(t *testing.T) {
 	dir := t.TempDir()
-	damaged, orig := buildChainFile(t, dir, "damaged.jsonl", 6)
-	healthy := filepath.Join(dir, "healthy.jsonl")
+	damaged, orig := buildChainFile(t, dir, "damaged.chain", 6)
+	healthy := filepath.Join(dir, "healthy.chain")
 	if err := orig.WriteFile(healthy); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +256,8 @@ func TestRepairFileRestoresDamagedTail(t *testing.T) {
 	// Flip a record byte in block 3: blocks 4 and 5 are intact on disk but
 	// unreachable (their prev-hash linkage passes through the damage), so
 	// the repair replaces everything from block 3 on.
-	if err := os.WriteFile(damaged, flipAfter(t, data, 3, `"records":["`), 0o644); err != nil {
+	sp := frameSpans(t, data)
+	if err := os.WriteFile(damaged, flip(data, sp[3].crc-3), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := RepairFile(damaged, healthy, orig.authority)
@@ -228,8 +267,8 @@ func TestRepairFileRestoresDamagedTail(t *testing.T) {
 	if rep.PrefixBlocks != 3 || rep.MatchedBlocks != 3 || rep.RepairedBlocks != 3 || rep.FinalBlocks != 6 {
 		t.Fatalf("report = %+v, want prefix 3, matched 3, repaired 3, final 6", rep)
 	}
-	if rep.Damage == nil || rep.Damage.Line != 4 {
-		t.Fatalf("damage = %v, want line 4", rep.Damage)
+	if rep.Damage == nil || rep.Damage.Frame != 4 || rep.Damage.Offset != int64(sp[3].start) {
+		t.Fatalf("damage = %v, want frame 4 at byte %d", rep.Damage, sp[3].start)
 	}
 	got, err := ReadFile(damaged, orig.authority)
 	if err != nil {
@@ -252,8 +291,8 @@ func TestRepairFileRestoresDamagedTail(t *testing.T) {
 
 func TestRepairFileCatchesSigFlipWithoutAuthority(t *testing.T) {
 	dir := t.TempDir()
-	damaged, orig := buildChainFile(t, dir, "damaged.jsonl", 5)
-	healthy := filepath.Join(dir, "healthy.jsonl")
+	damaged, orig := buildChainFile(t, dir, "damaged.chain", 5)
+	healthy := filepath.Join(dir, "healthy.chain")
 	if err := orig.WriteFile(healthy); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +300,8 @@ func TestRepairFileCatchesSigFlipWithoutAuthority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(damaged, flipAfter(t, data, 2, `"sig_r":"`), 0o644); err != nil {
+	sp := frameSpans(t, data)
+	if err := os.WriteFile(damaged, edit(data, sp[2], sp[2].body+sigAt(orig.blocks[2])), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// nil authority: the load alone cannot see the flip; the donor
@@ -288,8 +328,8 @@ func TestRepairFileCatchesSigFlipWithoutAuthority(t *testing.T) {
 
 func TestRepairFileLeavesCleanFileAlone(t *testing.T) {
 	dir := t.TempDir()
-	path, orig := buildChainFile(t, dir, "clean.jsonl", 4)
-	healthy := filepath.Join(dir, "healthy.jsonl")
+	path, orig := buildChainFile(t, dir, "clean.chain", 4)
+	healthy := filepath.Join(dir, "healthy.chain")
 	if err := orig.WriteFile(healthy); err != nil {
 		t.Fatal(err)
 	}
@@ -315,12 +355,13 @@ func TestRepairFileLeavesCleanFileAlone(t *testing.T) {
 
 func TestRepairFileRefusesBadDonor(t *testing.T) {
 	dir := t.TempDir()
-	damaged, orig := buildChainFile(t, dir, "damaged.jsonl", 5)
+	damaged, orig := buildChainFile(t, dir, "damaged.chain", 5)
 	data, err := os.ReadFile(damaged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(damaged, flipAfter(t, data, 4, `"records":["`), 0o644); err != nil {
+	sp := frameSpans(t, data)
+	if err := os.WriteFile(damaged, flip(data, sp[4].crc-3), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -332,8 +373,8 @@ func TestRepairFileRefusesBadDonor(t *testing.T) {
 		}
 	})
 	t.Run("donor itself damaged", func(t *testing.T) {
-		bad := filepath.Join(dir, "bad-donor.jsonl")
-		if err := os.WriteFile(bad, flipAfter(t, data, 1, `"merkle_root":"`), 0o644); err != nil {
+		bad := filepath.Join(dir, "bad-donor.chain")
+		if err := os.WriteFile(bad, edit(data, sp[1], sp[1].body+merkleRootAt), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := RepairFile(damaged, bad, orig.authority); err == nil {
@@ -347,7 +388,7 @@ func TestRepairFileRefusesBadDonor(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		divergent := filepath.Join(dir, "divergent.jsonl")
+		divergent := filepath.Join(dir, "divergent.chain")
 		if err := other.WriteFile(divergent); err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +413,7 @@ func newTruncatedDonor(t *testing.T, dir string, src *Chain, n int) (string, *Ch
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(dir, "short-donor.jsonl")
+	path := filepath.Join(dir, "short-donor.chain")
 	if err := short.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +426,7 @@ func newTruncatedDonor(t *testing.T, dir string, src *Chain, n int) (string, *Ch
 // reports as valid.
 func FuzzReadFilePrefix(f *testing.F) {
 	dir := f.TempDir()
-	seedPath := filepath.Join(dir, "seed.jsonl")
+	seedPath := filepath.Join(dir, "seed.chain")
 	fc, fsigner := newSignedChainF(f)
 	for i := 0; i < 4; i++ {
 		if _, err := fc.Seal(fsigner, t0.Add(time.Duration(i)*time.Second), []Record{mkRecord("d1", uint64(i+1))}); err != nil {
@@ -399,13 +440,22 @@ func FuzzReadFilePrefix(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	sp := frameSpans(f, seed)
 	f.Add(seed)
 	f.Add([]byte(""))
-	f.Add([]byte("not json\n"))
+	f.Add([]byte(`{"index":0,"records":[]}` + "\n"))
 	f.Add(seed[:len(seed)/2])
-	f.Add(append(append([]byte(nil), seed...), seed...))
+	f.Add(splice(seed, seed[sp[3].start:]))
+	f.Add(seed[:sp[2].start+1])
+	f.Add(seed[:sp[3].end-2])
+	f.Add(flip(seed, sp[1].body+merkleRootAt))
+	f.Add(edit(seed, sp[1], sp[1].crc-3))
+	f.Add(edit(seed, sp[2], sp[2].body+sigAt(fc.blocks[2])))
+	f.Add(flip(seed, sp[0].crc))
+	f.Add(splice(seed[:sp[1].start], appendUvarint(nil, 1<<40), seed[sp[1].body:]))
+	f.Add(splice(seed[:sp[2].start], []byte("garbage"), seed[sp[2].start:]))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), "fuzz.jsonl")
+		p := filepath.Join(t.TempDir(), "fuzz.chain")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Skip()
 		}

@@ -1,66 +1,33 @@
 package blockchain
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math/big"
-	"time"
 )
 
-// sealMeta is the wire form of a prepared block's header and signature: the
+// EncodeSealMeta serializes a prepared block's header and signature: the
 // metadata blob the replicated-aggregator tier agrees on through consensus
 // alongside the record batch, so every replica reconstructs and imports a
-// byte-identical block. JSON is fine here — one blob per sealed window, not
-// a hot path.
-type sealMeta struct {
-	Index      uint64 `json:"index"`
-	PrevHash   string `json:"prev_hash"`
-	MerkleRoot string `json:"merkle_root"`
-	Timestamp  int64  `json:"timestamp_ns"`
-	Producer   string `json:"producer"`
-	SigR       string `json:"sig_r"`
-	SigS       string `json:"sig_s"`
-}
-
-// EncodeSealMeta serializes a prepared block's header and signature.
+// byte-identical block. The bytes are the chain file's header+signature
+// encoding (see file.go).
 func EncodeSealMeta(h Header, sig Signature) ([]byte, error) {
-	if sig.R == nil || sig.S == nil {
+	if sig.R == nil || sig.S == nil || sig.R.Sign() <= 0 || sig.S.Sign() <= 0 {
 		return nil, errors.New("blockchain: seal meta requires a signature")
 	}
-	return json.Marshal(sealMeta{
-		Index:      h.Index,
-		PrevHash:   encodeHash(h.PrevHash),
-		MerkleRoot: encodeHash(h.MerkleRoot),
-		Timestamp:  h.Timestamp.UnixNano(),
-		Producer:   h.Producer,
-		SigR:       sig.R.Text(16),
-		SigS:       sig.S.Text(16),
-	})
+	return appendHeaderSig(make([]byte, 0, 192), h, sig), nil
 }
 
 // DecodeSealMeta parses the blob EncodeSealMeta produced.
 func DecodeSealMeta(b []byte) (Header, Signature, error) {
-	var m sealMeta
-	if err := json.Unmarshal(b, &m); err != nil {
+	h, sig, rest, err := readHeaderSig(b, nil)
+	if err != nil {
 		return Header{}, Signature{}, fmt.Errorf("blockchain: seal meta: %w", err)
 	}
-	h := Header{
-		Index:     m.Index,
-		Timestamp: time.Unix(0, m.Timestamp).UTC(),
-		Producer:  m.Producer,
+	if sig.R == nil || sig.S == nil {
+		return Header{}, Signature{}, errors.New("blockchain: seal meta: missing signature")
 	}
-	var err error
-	if h.PrevHash, err = decodeHash(m.PrevHash); err != nil {
-		return Header{}, Signature{}, fmt.Errorf("blockchain: seal meta prev hash: %w", err)
+	if len(rest) != 0 {
+		return Header{}, Signature{}, fmt.Errorf("blockchain: seal meta: %d trailing bytes", len(rest))
 	}
-	if h.MerkleRoot, err = decodeHash(m.MerkleRoot); err != nil {
-		return Header{}, Signature{}, fmt.Errorf("blockchain: seal meta merkle root: %w", err)
-	}
-	r, okR := new(big.Int).SetString(m.SigR, 16)
-	s, okS := new(big.Int).SetString(m.SigS, 16)
-	if !okR || !okS {
-		return Header{}, Signature{}, errors.New("blockchain: seal meta: bad signature encoding")
-	}
-	return h, Signature{R: r, S: s}, nil
+	return h, sig, nil
 }

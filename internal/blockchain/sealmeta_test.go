@@ -1,8 +1,8 @@
 package blockchain
 
 import (
+	"bytes"
 	"math/big"
-	"strings"
 	"testing"
 	"time"
 )
@@ -47,6 +47,14 @@ func TestEncodeSealMetaRequiresSignature(t *testing.T) {
 	if _, err := EncodeSealMeta(h, Signature{S: sig.S}); err == nil {
 		t.Fatal("nil R encoded")
 	}
+	// The encoding carries magnitudes only; r and s of a real signature are
+	// in [1, n-1].
+	if _, err := EncodeSealMeta(h, Signature{R: big.NewInt(-0xff), S: sig.S}); err == nil {
+		t.Fatal("negative R encoded")
+	}
+	if _, err := EncodeSealMeta(h, Signature{R: sig.R, S: new(big.Int)}); err == nil {
+		t.Fatal("zero S encoded")
+	}
 }
 
 // TestDecodeSealMetaRejectsCorruptInputs drives every malformed-blob path:
@@ -59,20 +67,34 @@ func TestDecodeSealMetaRejectsCorruptInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]string{
-		"empty":              "",
-		"not json":           "not json at all",
-		"truncated":          string(valid[:len(valid)/2]),
-		"wrong types":        `{"index":"seven"}`,
-		"bad prev hash hex":  `{"prev_hash":"zz","merkle_root":"","sig_r":"1","sig_s":"1"}`,
-		"short prev hash":    `{"prev_hash":"abcd","merkle_root":"","sig_r":"1","sig_s":"1"}`,
-		"bad merkle hex":     strings.Replace(string(valid), `"merkle_root":"`, `"merkle_root":"zz`, 1),
-		"empty sig r":        strings.Replace(string(valid), `"sig_r":"deadbeef"`, `"sig_r":""`, 1),
-		"non-hex sig s":      strings.Replace(string(valid), `"sig_s":"1337"`, `"sig_s":"quux"`, 1),
-		"missing signatures": `{"index":1,"prev_hash":"","merkle_root":"","timestamp_ns":0,"producer":"p"}`,
+	hdr := h.appendMarshal(nil)
+	sigAt := len(hdr) // R's length byte; R is 4 bytes, S 2
+	if !bytes.Equal(valid[sigAt:], []byte{4, 0xde, 0xad, 0xbe, 0xef, 2, 0x13, 0x37}) {
+		t.Fatalf("signature bytes = %x", valid[sigAt:])
+	}
+	with := func(tail ...byte) []byte { return append(append([]byte(nil), hdr...), tail...) }
+	cases := map[string][]byte{
+		"empty":                    nil,
+		"the retired JSON blob":    []byte(`{"index":7,"prev_hash":"","merkle_root":"","timestamp_ns":0,"producer":"p","sig_r":"1","sig_s":"1"}`),
+		"truncated in the index":   {0x80},
+		"index overflows":          bytes.Repeat([]byte{0xff}, 11),
+		"truncated in the hashes":  valid[:40],
+		"truncated in producer":    valid[:sigAt-2],
+		"producer overruns":        append(append([]byte(nil), hdr[:len(hdr)-6]...), 0x7f, 'a'),
+		"truncated before sig":     hdr,
+		"truncated in sig r":       valid[:sigAt+3],
+		"truncated before sig s":   valid[:sigAt+5],
+		"truncated in sig s":       valid[:len(valid)-1],
+		"empty sig r":              with(0, 2, 0x13, 0x37),
+		"empty sig s":              with(4, 0xde, 0xad, 0xbe, 0xef, 0),
+		"leading zero in sig r":    with(2, 0x00, 0x01, 2, 0x13, 0x37),
+		"oversized sig r":          with(append(append([]byte{33}, bytes.Repeat([]byte{1}, 33)...), 2, 0x13, 0x37)...),
+		"trailing byte":            append(append([]byte(nil), valid...), 0),
+		"two blobs back to back":   append(append([]byte(nil), valid...), valid...),
+		"a whole chain-file frame": appendFrame(nil, &Block{Header: h, Sig: sig, Records: []Record{mkRecord("d", 1)}}),
 	}
 	for name, in := range cases {
-		if _, _, err := DecodeSealMeta([]byte(in)); err == nil {
+		if _, _, err := DecodeSealMeta(in); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -89,10 +111,11 @@ func FuzzDecodeSealMeta(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add([]byte(`{}`))
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(h.appendMarshal(nil), 0, 0))
+	f.Add(append(h.appendMarshal(nil), 2, 0, 1, 1, 1))
 	f.Add([]byte(`{"sig_r":"-ff","sig_s":"0"}`))
-	f.Add([]byte(`{"prev_hash":"zz","sig_r":"1","sig_s":"1"}`))
-	f.Add([]byte("not json"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, sig, err := DecodeSealMeta(b)
 		if err != nil {

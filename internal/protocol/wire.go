@@ -17,8 +17,7 @@
 //
 // Timestamps deliberately split seconds and nanoseconds so every time.Time
 // representable by the standard library round-trips exactly; UnixNano alone
-// overflows outside 1678–2262. JSON remains only as the blockchain
-// chain-file format (internal/blockchain/file.go).
+// overflows outside 1678–2262.
 package protocol
 
 import (

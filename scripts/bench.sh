@@ -24,7 +24,7 @@ if [ "${1:-}" = "--check" ]; then
     shift
 fi
 
-benches='BenchmarkProtocolEncodeDecode|BenchmarkMQTTTopicMatch|BenchmarkSimKernel|BenchmarkChainAppend|BenchmarkReportPath|BenchmarkBrokerFanout|BenchmarkStoreAndForward|BenchmarkConsensusDecide|BenchmarkConsensusDecideNoAuth|BenchmarkInstrumentedReportPath'
+benches='BenchmarkProtocolEncodeDecode|BenchmarkMQTTTopicMatch|BenchmarkSimKernel|BenchmarkChainAppend|BenchmarkReportPath|BenchmarkBrokerFanout|BenchmarkStoreAndForward|BenchmarkConsensusDecide|BenchmarkConsensusDecideNoAuth|BenchmarkInstrumentedReportPath|BenchmarkChainFile'
 
 raw="$(mktemp)"
 tmpjson="$(mktemp)"
@@ -62,7 +62,7 @@ emit_json() {
         } else {
             sub(/-[0-9]+$/, "", name)
         }
-        ns = ""; bytes = ""; allocs = ""; rps = ""; recs = ""; wc = ""
+        ns = ""; bytes = ""; allocs = ""; rps = ""; recs = ""; wc = ""; nsrec = ""
         for (i = 2; i <= NF; i++) {
             if ($(i) == "ns/op")          ns = $(i-1)
             if ($(i) == "B/op")           bytes = $(i-1)
@@ -70,6 +70,7 @@ emit_json() {
             if ($(i) == "reports/s")      rps = $(i-1)
             if ($(i) == "records/s")      recs = $(i-1)
             if ($(i) == "windowclose_ns") wc = $(i-1)
+            if ($(i) == "ns/record")      nsrec = $(i-1)
         }
         if (ns == "") next
         entry = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns)
@@ -78,6 +79,7 @@ emit_json() {
         if (rps != "")    entry = entry sprintf(", \"reports_per_sec\": %s", rps)
         if (recs != "")   entry = entry sprintf(", \"records_per_sec\": %s", recs)
         if (wc != "")     entry = entry sprintf(", \"windowclose_ns\": %s", wc)
+        if (nsrec != "")  entry = entry sprintf(", \"ns_per_record\": %s", nsrec)
         entry = entry "}"
         entries[n++] = entry
     }
