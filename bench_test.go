@@ -805,7 +805,7 @@ func benchConsensusDecide(b *testing.B, auth bool) {
 		cluster.DisableAuth()
 	}
 	const batch = 100
-	const window = 4 // core.ReplicaSetConfig's default PipelineDepth
+	const window = 4 // core.ClusterConfig's default PipelineDepth
 	cluster.SetWindow(window)
 	records := make([]blockchain.Record, batch)
 	for i := range records {

@@ -44,35 +44,30 @@ type System = core.System
 // churn — or, with Replicas > 1, the replicated-aggregator tier: N
 // aggregators running as a consensus cluster that seals one common chain,
 // with a mid-window leader crash, recovery, a roaming hot-spot wave and
-// dynamic rebalancing choreographed across the run.
+// dynamic rebalancing choreographed across the run. RunFleet rejects the
+// combinations no scenario implements (Physics with Replicas > 1, Chaos
+// without).
 type FleetConfig = core.FleetConfig
 
 // FleetResult is the fleet scenario outcome.
 type FleetResult = core.FleetResult
 
-// ReplicaSetConfig tunes the replicated-aggregator tier created by
-// System.EnableReplication: consensus fault tolerance, proposal pacing,
-// the consensus-seal pipeline depth (PipelineDepth: how many pre-sealed
-// proposals the leader keeps in flight; window closes hand their batch to
-// the pipeline and return immediately) and the load-balancing loop.
-type ReplicaSetConfig = core.ReplicaSetConfig
-
-// ReplicaSet runs a system's aggregators as a consensus cluster with crash
-// failover and dynamic rebalancing; obtain one with
-// System.EnableReplication after adding networks. Sealing then goes
-// through PBFT-style agreement onto per-replica chains (ChainOf) that stay
+// Cluster runs a set of aggregators as one consensus-replicated tier with
+// crash failover and dynamic rebalancing; obtain one for a system with
+// System.EnableReplication after adding networks. Sealing then goes through
+// PBFT-style agreement onto per-replica chains (ChainOf) that stay
 // byte-identical, Crash/Recover inject aggregator failures, and the
 // orchestrator rebalances TDMA occupancy with the Fig. 3 membership
-// machinery.
-type ReplicaSet = core.ReplicaSet
-
-// Cluster runs a set of aggregators as one consensus-replicated tier; it is
-// the reusable building block Federation instantiates per neighborhood.
-// ReplicaSet remains as its single-cluster alias.
+// machinery. It is also the building block Federation instantiates per
+// neighborhood.
 type Cluster = core.Cluster
 
-// ClusterConfig tunes one Cluster; setting ID scopes its instruments under
-// "fed.<ID>.*" when many clusters share a telemetry registry.
+// ClusterConfig tunes one Cluster: consensus fault tolerance, proposal
+// pacing, the consensus-seal pipeline depth (PipelineDepth: how many
+// pre-sealed proposals the leader keeps in flight; window closes hand their
+// batch to the pipeline and return immediately) and the load-balancing loop.
+// Setting ID scopes its instruments under "fed.<ID>.*" when many clusters
+// share a telemetry registry.
 type ClusterConfig = core.ClusterConfig
 
 // FederationConfig parameterizes the federated two-tier scenario: Clusters

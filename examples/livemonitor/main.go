@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: sys.Registry.Handler()}
+	srv := &http.Server{Handler: telemetry.NewMux(sys.Registry, nil, nil)}
 	go srv.Serve(ln)
 	defer srv.Close()
 	fmt.Printf("telemetry endpoints live at http://%s/metrics, /series, /series/query?name=...\n", ln.Addr())

@@ -111,7 +111,7 @@ func DigestRecords(records []blockchain.Record) Digest {
 }
 
 // DigestRecordsInto is DigestRecords with a caller-owned scratch buffer, for
-// hosts (core.ReplicaSet) that correlate batches on every decide.
+// hosts (core.Cluster) that correlate batches on every decide.
 func DigestRecordsInto(buf []byte, records []blockchain.Record) (Digest, []byte) {
 	return digestInto(buf, records, nil)
 }

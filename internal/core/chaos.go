@@ -1,17 +1,16 @@
-// Fault injection for the replicated fleet driver: a FaultPlan schedules
-// broker outages, ack-loss bursts, backhaul partitions and replica crashes
-// at tick granularity over a run, and the driver's existing ledger audit
-// then proves the zero-loss / zero-duplication invariant held through all
-// of them. The faults compose with (and must be scheduled around) the
-// driver's built-in choreography — the sec-1 leader crash, sec-3 recovery,
-// sec-5 roaming wave and sec-6+ rebalancing.
+// Fault injection for the scenario engine: a FaultPlan schedules broker
+// outages, ack-loss bursts, backhaul partitions and replica crashes at tick
+// granularity over a run against one cluster rig, and the scenario's ledger
+// audit then proves the zero-loss / zero-duplication invariant held through
+// all of them. The faults compose with (and must be scheduled around) the
+// replicated fleet's built-in choreography — the sec-1 leader crash, sec-3
+// recovery, sec-5 roaming wave and sec-6+ rebalancing.
 package core
 
 import (
 	"fmt"
 	"sync/atomic"
 
-	"decentmeter/internal/backhaul"
 	"decentmeter/internal/consensus"
 )
 
@@ -179,14 +178,12 @@ func (p *FaultPlan) validate(seconds, replicas int) error {
 	return nil
 }
 
-// chaosDriver executes a FaultPlan inside runReplicatedFleet. Begin/end
-// actions run single-threaded on the driver between ticks; the producer
-// goroutines only read the two atomic flags.
+// chaosDriver executes a FaultPlan against one cluster rig inside the
+// scenario engine. Begin/end actions run single-threaded on the driver
+// between ticks; the producer goroutines only read the two atomic flags.
 type chaosDriver struct {
 	plan    *FaultPlan
-	mesh    *backhaul.Mesh
-	rs      *ReplicaSet
-	reps    []fleetReplica
+	rig     *clusterRig
 	devices int
 
 	// uplinkDown and ackDown gate the producers' delivery and ack paths
@@ -194,25 +191,22 @@ type chaosDriver struct {
 	uplinkDown atomic.Bool
 	ackDown    atomic.Bool
 
-	// crashed[i] is the replica chaos-fault i took down and corrupted[i]
-	// the one it turned Byzantine ("" if the fault was skipped or of
-	// another kind); ended[i] marks faults already finished so the
-	// end-of-run sweep does not double-heal.
-	crashed   []string
-	corrupted []string
-	ended     []bool
+	// victim[i] is the replica fault i crashed or turned Byzantine ("" if
+	// the fault was skipped or of another kind); ended[i] marks faults
+	// already finished so the end-of-run sweep does not double-heal.
+	victim []string
+	ended  []bool
 
 	injected   int
 	reconnects uint64
 	log        []string
 }
 
-func newChaosDriver(plan *FaultPlan, mesh *backhaul.Mesh, rs *ReplicaSet, reps []fleetReplica, devices int) *chaosDriver {
+func newChaosDriver(plan *FaultPlan, rig *clusterRig, devices int) *chaosDriver {
 	return &chaosDriver{
-		plan: plan, mesh: mesh, rs: rs, reps: reps, devices: devices,
-		crashed:   make([]string, len(plan.Faults)),
-		corrupted: make([]string, len(plan.Faults)),
-		ended:     make([]bool, len(plan.Faults)),
+		plan: plan, rig: rig, devices: devices,
+		victim: make([]string, len(plan.Faults)),
+		ended:  make([]bool, len(plan.Faults)),
 	}
 }
 
@@ -237,9 +231,9 @@ func (c *chaosDriver) step(sec, tick int) error {
 	return nil
 }
 
-// finishAll ends every still-active fault; the driver calls it after the
+// finishAll ends every still-active fault; the engine calls it after the
 // last tick so the run settles (and the ledger audits) fully healed. It
-// reports whether any fault was still open, so the caller can extend the
+// reports whether any fault was still open, so the engine can extend the
 // settle window for post-recovery catch-up.
 func (c *chaosDriver) finishAll() (bool, error) {
 	open := false
@@ -256,67 +250,65 @@ func (c *chaosDriver) finishAll() (bool, error) {
 }
 
 func (c *chaosDriver) begin(i int, f *Fault, sec, tick int) error {
+	at := fmt.Sprintf("sec %d tick %d: ", sec, tick)
+	skip := func(format string, args ...any) error {
+		c.ended[i] = true
+		c.log = append(c.log, at+"skipped "+fmt.Sprintf(format, args...))
+		return nil
+	}
+	detail := ""
 	switch f.Kind {
 	case FaultBrokerOutage:
 		c.uplinkDown.Store(true)
 	case FaultAckLossBurst:
 		c.ackDown.Store(true)
 	case FaultMeshPartition:
-		if err := c.mesh.PartitionOff(c.target(f)); err != nil {
+		id := c.target(f)
+		if err := c.rig.mesh.PartitionOff(id); err != nil {
 			return err
 		}
+		detail = " of " + id
 	case FaultReplicaCrash:
 		id := c.target(f)
-		if down := c.anyCrashed(); down != "" {
+		if down := c.rig.firstReplica((*Replica).Crashed); down != "" {
 			// Quorum guard: one replica is already out (the built-in
 			// choreography, or an overlapping fault) — stand down.
-			c.ended[i] = true
-			c.log = append(c.log, fmt.Sprintf("sec %d tick %d: skipped %s of %s (%s already down)", sec, tick, f.Kind, id, down))
-			return nil
+			return skip("%s of %s (%s already down)", f.Kind, id, down)
 		}
-		if bad := c.anyByzantine(); bad != "" {
+		if bad := c.rig.firstReplica((*Replica).Byzantine); bad != "" {
 			// Fault-budget guard: a Byzantine replica already spends the
 			// one fault f=1 tolerates; crashing another honest replica
 			// would leave only 2f live honest votes.
-			c.ended[i] = true
-			c.log = append(c.log, fmt.Sprintf("sec %d tick %d: skipped %s of %s (%s is byzantine)", sec, tick, f.Kind, id, bad))
-			return nil
+			return skip("%s of %s (%s is byzantine)", f.Kind, id, bad)
 		}
-		if err := c.rs.Crash(id); err != nil {
+		if err := c.rig.rs.Crash(id); err != nil {
 			return err
 		}
-		c.crashed[i] = id
+		c.victim[i] = id
+		detail = " of " + id
 	case FaultByzantine:
-		if down := c.anyCrashed(); down != "" {
-			c.ended[i] = true
-			c.log = append(c.log, fmt.Sprintf("sec %d tick %d: skipped %s (%s already down)", sec, tick, f.Kind, down))
-			return nil
+		if down := c.rig.firstReplica((*Replica).Crashed); down != "" {
+			return skip("%s (%s already down)", f.Kind, down)
 		}
-		if bad := c.anyByzantine(); bad != "" {
-			c.ended[i] = true
-			c.log = append(c.log, fmt.Sprintf("sec %d tick %d: skipped %s (%s already byzantine)", sec, tick, f.Kind, bad))
-			return nil
+		if bad := c.rig.firstReplica((*Replica).Byzantine); bad != "" {
+			return skip("%s (%s already byzantine)", f.Kind, bad)
 		}
 		id := c.byzantineTarget(f)
 		if id == "" {
-			c.ended[i] = true
-			c.log = append(c.log, fmt.Sprintf("sec %d tick %d: skipped %s (no eligible target)", sec, tick, f.Kind))
-			return nil
+			return skip("%s (no eligible target)", f.Kind)
 		}
 		behaviors := f.Behaviors
 		if behaviors == 0 {
 			behaviors = consensus.DefaultAdversaryBehaviors
 		}
-		if err := c.rs.Corrupt(id, behaviors); err != nil {
+		if err := c.rig.rs.Corrupt(id, behaviors); err != nil {
 			return err
 		}
-		c.corrupted[i] = id
-		c.injected++
-		c.log = append(c.log, fmt.Sprintf("sec %d tick %d: %s of %s (%s) for %d tick(s)", sec, tick, f.Kind, id, behaviors, f.Ticks))
-		return nil
+		c.victim[i] = id
+		detail = fmt.Sprintf(" of %s (%s)", id, behaviors)
 	}
 	c.injected++
-	c.log = append(c.log, fmt.Sprintf("sec %d tick %d: %s%s for %d tick(s)", sec, tick, f.Kind, c.targetSuffix(f), f.Ticks))
+	c.log = append(c.log, fmt.Sprintf("%s%s%s for %d tick(s)", at, f.Kind, detail, f.Ticks))
 	return nil
 }
 
@@ -332,14 +324,14 @@ func (c *chaosDriver) finish(i int, f *Fault) error {
 	case FaultAckLossBurst:
 		c.ackDown.Store(false)
 	case FaultMeshPartition:
-		c.mesh.Heal()
+		c.rig.mesh.Heal()
 	case FaultReplicaCrash:
-		if c.crashed[i] != "" {
-			return c.rs.Recover(c.crashed[i])
+		if c.victim[i] != "" {
+			return c.rig.rs.Recover(c.victim[i])
 		}
 	case FaultByzantine:
-		if c.corrupted[i] != "" {
-			return c.rs.Restore(c.corrupted[i])
+		if c.victim[i] != "" {
+			return c.rig.rs.Restore(c.victim[i])
 		}
 	}
 	return nil
@@ -349,59 +341,20 @@ func (c *chaosDriver) finish(i int, f *Fault) error {
 // leader at injection time for Target == -1.
 func (c *chaosDriver) target(f *Fault) string {
 	if f.Target >= 0 {
-		return c.reps[f.Target].id
+		return c.rig.reps[f.Target].id
 	}
-	return c.rs.LeaderID()
+	return c.rig.rs.LeaderID()
 }
 
-func (c *chaosDriver) targetSuffix(f *Fault) string {
-	switch f.Kind {
-	case FaultMeshPartition, FaultReplicaCrash:
-		return " of " + c.target(f)
-	}
-	return ""
-}
-
-// anyCrashed returns the ID of a currently-crashed replica, or "".
-func (c *chaosDriver) anyCrashed() string {
-	for _, r := range c.reps {
-		if rep, ok := c.rs.Replica(r.id); ok && rep.Crashed() {
-			return r.id
-		}
-	}
-	return ""
-}
-
-// anyByzantine returns the ID of a currently-corrupted replica, or "".
-func (c *chaosDriver) anyByzantine() string {
-	for _, r := range c.reps {
-		if rep, ok := c.rs.Replica(r.id); ok && rep.Byzantine() {
-			return r.id
-		}
-	}
-	return ""
-}
-
-// byzantineTarget resolves a FaultByzantine target at injection time:
-// explicit index, the consensus leader for -1, or the first live honest
-// follower for TargetFollower. Returns "" when nothing qualifies.
+// byzantineTarget resolves a FaultByzantine target at injection time: as
+// target, or for TargetFollower the first live honest follower. Returns ""
+// when nothing qualifies.
 func (c *chaosDriver) byzantineTarget(f *Fault) string {
-	if f.Target >= 0 {
-		return c.reps[f.Target].id
+	if f.Target != TargetFollower {
+		return c.target(f)
 	}
-	leader := c.rs.LeaderID()
-	if f.Target == -1 {
-		return leader
-	}
-	for _, r := range c.reps {
-		if r.id == leader {
-			continue
-		}
-		rep, ok := c.rs.Replica(r.id)
-		if !ok || rep.Crashed() || rep.Byzantine() {
-			continue
-		}
-		return r.id
-	}
-	return ""
+	leader := c.rig.rs.LeaderID()
+	return c.rig.firstReplica(func(rep *Replica) bool {
+		return rep.ID != leader && !rep.Crashed() && !rep.Byzantine()
+	})
 }

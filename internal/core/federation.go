@@ -16,6 +16,10 @@
 // homeward leg syncs B's watermark back onto the master membership before
 // B releases the visit. The federation-wide ledger audit therefore proves
 // zero loss and zero duplication across every neighborhood chain at once.
+//
+// RunFederation is the scenario engine (scenario.go) assembled over this
+// topology: its rigs, reporters that know their home and serving cluster,
+// and the wave / crash / anchor choreography as the engine's hooks.
 package core
 
 import (
@@ -23,8 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"decentmeter/internal/backhaul"
@@ -193,7 +195,6 @@ type FederationResult struct {
 type federation struct {
 	env       *sim.Env
 	cfg       FederationConfig
-	epoch     time.Time
 	perDevice units.Current
 
 	mesh *backhaul.Mesh // tier-2: cluster <-> cluster
@@ -227,7 +228,6 @@ func newFederation(env *sim.Env, cfg FederationConfig, devicesPer int,
 	f := &federation{
 		env:        env,
 		cfg:        cfg,
-		epoch:      time.Date(2020, 4, 29, 0, 0, 0, 0, time.UTC),
 		perDevice:  units.MilliampsToCurrent(cfg.PerDeviceMilliamps),
 		mesh:       backhaul.NewMesh(env, time.Millisecond),
 		rigs:       make([]*clusterRig, cfg.Clusters),
@@ -244,10 +244,10 @@ func newFederation(env *sim.Env, cfg FederationConfig, devicesPer int,
 			MaxPendingRecords: cfg.MaxPendingRecords,
 			PipelineDepth:     cfg.PipelineDepth,
 			RebalanceMaxMoves: 64,
-			PerDevice:         f.perDevice,
-			Seed:              cfg.Seed + uint64(i+1)*0x517cc1b727220a95,
-			Epoch:             f.epoch,
-			Registry:          cfg.Registry, Tracer: cfg.Tracer,
+			// Cluster-wide draw as the head meters' expected maximum.
+			MaxExpected: f.perDevice * units.Current(devicesPer),
+			Seed:        cfg.Seed + uint64(i+1)*0x517cc1b727220a95,
+			Registry:    cfg.Registry, Tracer: cfg.Tracer,
 		}, onAck)
 		if err != nil {
 			return nil, err
@@ -288,6 +288,16 @@ func newFederation(env *sim.Env, cfg FederationConfig, devicesPer int,
 // acknowledged-sequence watermark off its membership and sends it to the
 // target cluster over the inter-cluster mesh.
 func (f *federation) handoff(devID string, fromCluster, fromRep, toCluster int, homeAggID string) {
+	f.sendWatermark(devID, fromCluster, fromRep, toCluster, homeAggID, false)
+}
+
+// handback starts the homeward leg: the visited cluster hands the device
+// (and its watermark) back to its home cluster.
+func (f *federation) handback(devID string, visitCluster, visitRep, homeCluster int, homeAggID string) {
+	f.sendWatermark(devID, visitCluster, visitRep, homeCluster, homeAggID, true)
+}
+
+func (f *federation) sendWatermark(devID string, fromCluster, fromRep, toCluster int, homeAggID string, homeward bool) {
 	from := f.rigs[fromCluster]
 	mem, ok := from.reps[fromRep].agg.Member(devID)
 	if !ok {
@@ -299,34 +309,14 @@ func (f *federation) handoff(devID string, fromCluster, fromRep, toCluster int, 
 		FromCluster:    from.id,
 		ToCluster:      f.rigs[toCluster].id,
 		LastSeq:        mem.LastSeq,
-	})
-}
-
-// handback starts the homeward leg: the visited cluster hands the device
-// (and its watermark) back to its home cluster.
-func (f *federation) handback(devID string, visitCluster, visitRep, homeCluster int, homeAggID string) {
-	visit := f.rigs[visitCluster]
-	mem, ok := visit.reps[visitRep].agg.Member(devID)
-	if !ok {
-		return
-	}
-	_ = f.mesh.Send(visit.id, f.rigs[homeCluster].id, protocol.HandoffWatermark{
-		DeviceID:       devID,
-		HomeAggregator: homeAggID,
-		FromCluster:    visit.id,
-		ToCluster:      f.rigs[homeCluster].id,
-		LastSeq:        mem.LastSeq,
-		Return:         true,
+		Return:         homeward,
 	})
 }
 
 // servingRep finds the live replica holding a membership for devID.
 func (rig *clusterRig) servingRep(devID string) (int, bool) {
 	for r := range rig.reps {
-		if rep, ok := rig.rs.Replica(rig.reps[r].id); ok && rep.Crashed() {
-			continue
-		}
-		if _, ok := rig.reps[r].agg.Member(devID); ok {
+		if _, ok := rig.reps[r].agg.Member(devID); ok && !rig.crashed(r) {
 			return r, true
 		}
 	}
@@ -338,35 +328,29 @@ func (f *federation) handleFed(ci int, from string, msg protocol.Message) {
 	rig := f.rigs[ci]
 	switch m := msg.(type) {
 	case protocol.HandoffWatermark:
+		var r int
+		var accepted bool
 		if m.Return {
 			// Homeward leg: sync the visited cluster's watermark onto the
 			// master membership (nothing it acknowledged may be stored
 			// again), steer the device home, tell the host to release.
-			r, ok := rig.servingRep(m.DeviceID)
-			accepted := ok
-			if ok {
+			if r, accepted = rig.servingRep(m.DeviceID); accepted {
 				rig.reps[r].agg.SyncSeq(m.DeviceID, m.LastSeq)
-				if f.steer != nil {
-					f.steer(m.DeviceID, ci, r)
-				}
 			}
-			_ = f.mesh.Send(rig.id, m.FromCluster, protocol.HandoffAck{
-				DeviceID: m.DeviceID, FromCluster: m.FromCluster,
-				ToCluster: rig.id, Accepted: accepted, Return: true,
-			})
-			return
+		} else {
+			// Outbound leg: admit as a guest seeded at the carried
+			// watermark. The home aggregator lives in another cluster, off
+			// this mesh, so the guest is marked home-down: its data is
+			// recorded where it is acknowledged, exactly the PR 4
+			// crash-roaming rule.
+			r, accepted = f.admitGuest(ci, m)
 		}
-		// Outbound leg: admit as a guest seeded at the carried watermark.
-		// The home aggregator lives in another cluster, off this mesh, so
-		// the guest is marked home-down: its data is recorded where it is
-		// acknowledged, exactly the PR 4 crash-roaming rule.
-		r, accepted := f.admitGuest(ci, m)
 		if accepted && f.steer != nil {
 			f.steer(m.DeviceID, ci, r)
 		}
 		_ = f.mesh.Send(rig.id, m.FromCluster, protocol.HandoffAck{
 			DeviceID: m.DeviceID, FromCluster: m.FromCluster,
-			ToCluster: rig.id, Accepted: accepted,
+			ToCluster: rig.id, Accepted: accepted, Return: m.Return,
 		})
 	case protocol.HandoffAck:
 		if !m.Accepted {
@@ -399,11 +383,8 @@ func (f *federation) admitGuest(ci int, m protocol.HandoffWatermark) (int, bool)
 	for try := 0; try < n; try++ {
 		r := f.guestRR[ci] % n
 		f.guestRR[ci]++
-		if rep, ok := rig.rs.Replica(rig.reps[r].id); ok && rep.Crashed() {
-			continue
-		}
 		agg := rig.reps[r].agg
-		if err := agg.AdmitGuest(m.DeviceID, m.HomeAggregator, false, m.LastSeq); err != nil {
+		if rig.crashed(r) || agg.AdmitGuest(m.DeviceID, m.HomeAggregator, false, m.LastSeq) != nil {
 			continue
 		}
 		agg.SetHomeDown(m.DeviceID, true)
@@ -416,7 +397,7 @@ func (f *federation) admitGuest(ci int, m protocol.HandoffWatermark) (int, bool)
 // into one anchor block on the regional super-chain.
 func (f *federation) anchorNow() error {
 	var recs []blockchain.Record
-	at := f.epoch.Add(f.env.Now())
+	at := scenarioEpoch.Add(f.env.Now())
 	for i, rig := range f.rigs {
 		c := rig.chain()
 		h := uint64(c.Length())
@@ -467,18 +448,7 @@ func (f *federation) exportChains(dir string) error {
 	return f.anchorChain.WriteFile(filepath.Join(dir, "anchor.chain"))
 }
 
-// fedDevice is one synthetic reporter in the federated scenario.
-type fedDevice struct {
-	id                   string
-	homeCluster, homeRep int
-	cluster, rep         int  // currently serving (cluster, replica)
-	guest                bool // intra-cluster failover guest (draw stayed put)
-	away                 bool // visiting another cluster
-	seq, lastAck         uint64
-	unacked              []protocol.Measurement
-}
-
-// RunFederation drives the federated two-tier topology end to end:
+// RunFederation assembles and runs the federated two-tier scenario:
 // cfg.Clusters neighborhood clusters partition cfg.Devices devices, a
 // cross-cluster roaming wave hands WaveFraction of every cluster's fleet
 // to its neighbor (watermarks over the inter-cluster mesh), cluster 0's
@@ -506,102 +476,42 @@ func RunFederation(cfg FederationConfig) (FederationResult, error) {
 		return res, fmt.Errorf("core: %d devices cannot spread over %d clusters of %d replicas",
 			cfg.Devices, cfg.Clusters, cfg.Replicas)
 	}
-	total := perCluster * cfg.Clusters
-	res.Devices = total
+	res.Devices = perCluster * cfg.Clusters
 
-	env := sim.NewEnv(cfg.Seed)
-	devices := make([]*fedDevice, total)
-	byID := make(map[string]*fedDevice, total)
-
-	f, err := newFederation(env, cfg, perCluster, func(devID string, seq uint64) {
-		if d, ok := byID[devID]; ok && seq > d.lastAck {
-			d.lastAck = seq
-		}
-	})
+	s := newScenario(cfg.Seed)
+	s.seconds, s.producers, s.lossRate = cfg.Seconds, cfg.Producers, cfg.LossRate
+	s.tracer = cfg.Tracer
+	f, err := newFederation(s.env, cfg, perCluster, s.onAck)
 	if err != nil {
 		return res, err
 	}
-	perDevice := f.perDevice
+	s.rigs, s.perDevice = f.rigs, f.perDevice
 
 	// Cross-cluster steer: the federation completed a handoff leg — move
 	// the device's draw to the new serving feeder and retarget its
-	// reporting. Runs on the DES goroutine between reporting ticks.
+	// reporting. Runs on the driver thread between reporting ticks.
 	f.steer = func(devID string, cluster, rep int) {
-		d, ok := byID[devID]
+		r, ok := s.byID[devID]
 		if !ok {
 			return
 		}
-		f.rigs[d.cluster].reps[d.rep].load.I -= perDevice
-		f.rigs[cluster].reps[rep].load.I += perDevice
-		d.cluster, d.rep = cluster, rep
-		d.guest = false
-		d.away = cluster != d.homeCluster
+		f.rigs[r.at.cluster].reps[r.at.rep].load.I -= s.perDevice
+		f.rigs[cluster].reps[rep].load.I += s.perDevice
+		r.at = place{cluster, rep}
+		r.guest = false
 	}
-
-	// Intra-cluster steers (failover, reclaim, rebalance) reuse the
-	// replicated-fleet rules, scoped to the rig that fired them. A steer
-	// for a device currently visiting another cluster is a stale-master
-	// rescue (its frozen home membership moved); the device itself —
-	// draw, reporting — stays where it roams.
-	for ci := range f.rigs {
-		ci := ci
-		rig := f.rigs[ci]
-		rig.rs.Steer = func(devID, aggID string) {
-			d, okD := byID[devID]
-			to, okT := rig.idx[aggID]
-			if !okD || !okT || d.cluster != ci {
-				return
-			}
-			src, _ := rig.rs.Replica(rig.reps[d.rep].id)
-			switch {
-			case src != nil && src.Crashed():
-				// Crash failover: the device keeps its outlet on the dead
-				// network's feeder; only its reporting moves.
-				d.guest = true
-			case d.guest:
-				// Recovery reclaim: back home, still on its own feeder.
-				d.guest = false
-			default:
-				// Live migration: the device moves draw and all.
-				rig.reps[d.rep].load.I -= perDevice
-				rig.reps[to].load.I += perDevice
-			}
-			d.rep = to
-		}
-	}
-
-	// Register the population: geographic partition into contiguous
-	// cluster blocks, round-robin across replicas within a cluster.
-	for i := range devices {
-		ci := i / perCluster
-		d := &fedDevice{
-			id:          fmt.Sprintf("fed-dev-%06d", i),
-			homeCluster: ci, homeRep: i % cfg.Replicas,
-			cluster: ci, rep: i % cfg.Replicas,
-		}
-		devices[i] = d
-		byID[d.id] = d
-		rig := f.rigs[ci]
-		rig.reps[d.rep].agg.HandleDeviceMessage(d.id, protocol.Register{DeviceID: d.id})
-		rig.reps[d.rep].load.I += perDevice
-	}
+	// Intra-cluster steers (failover, reclaim, rebalance) follow the
+	// replicated fleet's rules, scoped to the rig that fired them.
 	for ci, rig := range f.rigs {
-		admitted := 0
-		for r := range rig.reps {
-			admitted += len(rig.reps[r].agg.Members())
-		}
-		if admitted != perCluster {
-			return res, fmt.Errorf("core: cluster %d admitted %d of %d devices", ci, admitted, perCluster)
-		}
+		rig.rs.Steer = s.steerWithin(ci)
 	}
 
-	assign := make([][]int, cfg.Producers)
-	for i := range devices {
-		assign[i%cfg.Producers] = append(assign[i%cfg.Producers], i)
-	}
-	rngs := make([]*sim.RNG, cfg.Producers)
-	for p := range rngs {
-		rngs[p] = sim.NewRNG(cfg.Seed ^ uint64(p+1)*0x9e3779b97f4a7c15)
+	// The population: geographic partition into contiguous cluster blocks,
+	// round-robin across replicas within a cluster.
+	if err := s.registerMasters("fed-dev-%06d", res.Devices, func(i int) place {
+		return place{i / perCluster, i % cfg.Replicas}
+	}); err != nil {
+		return res, err
 	}
 
 	const (
@@ -611,193 +521,96 @@ func RunFederation(cfg FederationConfig) (FederationResult, error) {
 		// The sec-2 window must close and seal while the leader is dead —
 		// that is what forces the view change — so recovery waits for sec 3.
 		recoverSec = 3
+	)
+	if cfg.Byzantine {
 		// The Byzantine stint corrupts cluster 1's leader at sec 1 tick 9 —
 		// just before the sec-2 boundary, so the boundary batch lands on a
 		// leader that equivocates on it — and restores it at sec 3, leaving
 		// a second-plus of honest sealing for catch-up before the audit.
 		// Cluster 0 owns the crash choreography; the stint runs in cluster 1
 		// so the two fault families exercise independent clusters.
-		byzSec, byzTick = 1, 9
-		byzRestoreSec   = 3
-	)
+		s.chaos = newChaosDriver(&FaultPlan{Faults: []Fault{{
+			Kind: FaultByzantine, Sec: 1, Tick: 9, Ticks: 11, Target: -1,
+			Behaviors: consensus.BehaviorEquivocate | consensus.BehaviorWithhold,
+		}}}, f.rigs[1], 0)
+	}
 	waveBackSec := cfg.Seconds - 1
-	var crashedID, corruptedID string
-	start := env.Now()
-	var delivered, uplost, acklost atomic.Uint64
-
-	for sec := 0; sec < cfg.Seconds; sec++ {
-		// Window-boundary choreography (the previous second's ticks stop
-		// 1 ms short of the boundary, as in the replicated fleet driver).
+	var crashedID string
+	s.beforeTick = func(sec, tick int) error {
+		if sec == crashSec && tick == crashTick {
+			crashedID = f.rigs[0].rs.LeaderID()
+			if err := f.rigs[0].rs.Crash(crashedID); err != nil {
+				return err
+			}
+			res.DevicesRehomed = len(f.rigs[0].rs.Migrations())
+		}
+		return nil
+	}
+	s.beforeBoundary = func(sec int) error {
 		if sec == recoverSec && crashedID != "" {
 			if err := f.rigs[0].rs.Recover(crashedID); err != nil {
-				return res, err
-			}
-		}
-		if sec == byzRestoreSec && corruptedID != "" {
-			if err := f.rigs[1].rs.Restore(corruptedID); err != nil {
-				return res, err
+				return err
 			}
 		}
 		if sec == waveOutSec {
-			runFedWaveOut(cfg, f, devices, perCluster)
-			env.RunUntil(env.Now() + 10*time.Millisecond) // settle both mesh legs
+			f.waveOut(s.reporters, perCluster)
+			s.env.RunUntil(s.env.Now() + 10*time.Millisecond) // settle both mesh legs
 		}
 		if sec == waveBackSec {
-			runFedWaveBack(f, devices)
-			env.RunUntil(env.Now() + 10*time.Millisecond)
+			f.waveBack(s.reporters)
+			s.env.RunUntil(s.env.Now() + 10*time.Millisecond)
 		}
-		if sec > 0 {
-			if err := f.anchorNow(); err != nil {
-				return res, err
-			}
-		}
-		env.RunUntil(start + time.Duration(sec)*time.Second)
-		for tick := 0; tick < 10; tick++ {
-			if sec == crashSec && tick == crashTick {
-				crashedID = f.rigs[0].rs.LeaderID()
-				if err := f.rigs[0].rs.Crash(crashedID); err != nil {
-					return res, err
-				}
-				res.DevicesRehomed = len(f.rigs[0].rs.Migrations())
-			}
-			if cfg.Byzantine && sec == byzSec && tick == byzTick {
-				corruptedID = f.rigs[1].rs.LeaderID()
-				if err := f.rigs[1].rs.Corrupt(corruptedID,
-					consensus.BehaviorEquivocate|consensus.BehaviorWithhold); err != nil {
-					return res, err
-				}
-			}
-			tickTime := f.epoch.Add(env.Now())
-			ingestStart := time.Now()
-			var wg sync.WaitGroup
-			for p := 0; p < cfg.Producers; p++ {
-				if len(assign[p]) == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					rng := rngs[p]
-					for _, di := range assign[p] {
-						d := devices[di]
-						d.seq++
-						m := protocol.Measurement{
-							Seq:       d.seq,
-							Timestamp: tickTime,
-							Interval:  100 * time.Millisecond,
-							Current:   perDevice,
-							Voltage:   5 * units.Volt,
-						}
-						// The unacked tail retransmits marked buffered: it
-						// describes past intervals and must stay out of
-						// the live window sums wherever it lands — even in
-						// another cluster after a handoff.
-						batch := make([]protocol.Measurement, 0, 1+len(d.unacked))
-						batch = append(batch, m)
-						for _, u := range d.unacked {
-							u.Buffered = true
-							batch = append(batch, u)
-						}
-						d.unacked = append(d.unacked, m)
-						if rng.Bool(cfg.LossRate) {
-							uplost.Add(1)
-							continue // uplink lost: everything stays unacked
-						}
-						if cfg.Tracer.Sample() {
-							cfg.Tracer.Begin(d.id)
-						}
-						f.rigs[d.cluster].reps[d.rep].agg.HandleDeviceMessage(d.id,
-							protocol.Report{DeviceID: d.id, Measurements: batch})
-						delivered.Add(1)
-						if rng.Bool(cfg.LossRate) {
-							acklost.Add(1)
-							continue // ack lost: the tail retransmits; dedup absorbs it
-						}
-						keep := d.unacked[:0]
-						for _, u := range d.unacked {
-							if u.Seq > d.lastAck {
-								keep = append(keep, u)
-							}
-						}
-						d.unacked = keep
-					}
-				}(p)
-			}
-			wg.Wait()
-			res.IngestElapsed += time.Since(ingestStart)
-			deadline := start + time.Duration(sec)*time.Second + time.Duration(tick+1)*100*time.Millisecond
-			if tick == 9 {
-				deadline -= time.Millisecond // room for boundary choreography
-			}
-			env.RunUntil(deadline)
-		}
+		return f.anchorNow()
 	}
-	env.RunUntil(env.Now() + 101*time.Millisecond) // final closes + settle decides
-	if err := f.anchorNow(); err != nil {          // cover every head
+	if err := s.run(); err != nil {
+		return res, err
+	}
+	s.env.RunUntil(s.env.Now() + tickInterval) // final closes + settle decides
+	if err := f.anchorNow(); err != nil {      // cover every head
 		return res, err
 	}
 	for _, rig := range f.rigs {
 		rig.stop()
 	}
 
-	res.ReportsDelivered = delivered.Load()
-	res.UplinksLost = uplost.Load()
-	res.AcksLost = acklost.Load()
-	res.Handoffs = f.handoffs
-	res.Handbacks = f.handbacks
-	res.HandoffRefusals = f.refused
+	res.ReportsDelivered, res.UplinksLost, res.AcksLost = s.delivered, s.uplinksLost, s.acksLost
+	res.IngestElapsed, res.IngestPerSec = s.ingestElapsed, s.ingestPerSec()
+	res.Handoffs, res.Handbacks, res.HandoffRefusals = f.handoffs, f.handbacks, f.refused
 	res.ChainsIdentical = true
-	chains := make([]*blockchain.Chain, 0, len(f.rigs))
 	for _, rig := range f.rigs {
-		sum := FederationClusterSummary{ID: rig.id, ChainsIdentical: rig.rs.ChainsIdentical()}
-		for r := range rig.reps {
-			accepted, _, _ := rig.reps[r].agg.Stats()
-			res.MeasurementsAccepted += accepted
-			sum.Devices += len(rig.reps[r].agg.Members())
-			for _, w := range rig.reps[r].agg.Windows() {
-				res.WindowsClosed++
-				if w.Verdict.OK {
-					res.WindowsOK++
-				} else {
-					res.WindowsFlagged++
-					sum.WindowsFlagged++
-				}
-			}
+		t := rig.tally(nil)
+		c := rig.chain()
+		sum := FederationClusterSummary{
+			ID: rig.id, ChainsIdentical: rig.rs.ChainsIdentical(),
+			Blocks: c.Length(), Records: c.TotalRecords(),
+			ViewChanges: rig.rs.CurrentView(), WindowsFlagged: t.flagged,
 		}
-		sum.ViewChanges = rig.rs.CurrentView()
+		for r := range rig.reps {
+			sum.Devices += len(rig.reps[r].agg.Members())
+		}
+		res.MeasurementsAccepted += t.accepted
+		res.WindowsClosed += t.closed
+		res.WindowsOK += t.ok
+		res.WindowsFlagged += t.flagged
 		res.ViewChanges += sum.ViewChanges
 		res.Crashes += rig.rs.Crashes()
 		res.Recoveries += rig.rs.Recoveries()
 		res.Corruptions += rig.rs.Corruptions()
 		res.Restores += rig.rs.Restores()
 		res.ImportErrors += rig.rs.ImportErrors()
-		if !sum.ChainsIdentical {
-			res.ChainsIdentical = false
-		}
-		c := rig.chain()
-		sum.Blocks = c.Length()
-		sum.Records = c.TotalRecords()
+		res.ChainsIdentical = res.ChainsIdentical && sum.ChainsIdentical
 		res.BlocksSealed += uint64(sum.Blocks)
 		res.RecordsSealed += sum.Records
-		chains = append(chains, c)
 		res.PerCluster = append(res.PerCluster, sum)
 	}
 	res.AnchorBlocks = f.anchorChain.Length()
 	res.AnchorRecords = f.anchorChain.TotalRecords()
 
-	acked := make(map[string]uint64, len(devices))
-	for _, d := range devices {
-		acked[d.id] = d.lastAck
-	}
-	res.RecordsLost, res.RecordsDuplicated = auditFederation(chains, acked)
-	if err := f.verifyAnchors(); err == nil {
-		res.AnchorsVerified = true
-	} else {
+	res.RecordsLost, res.RecordsDuplicated = s.audit()
+	if err := f.verifyAnchors(); err != nil {
 		return res, fmt.Errorf("core: federation anchor verification failed: %w", err)
 	}
-	if res.IngestElapsed > 0 {
-		res.IngestPerSec = float64(res.ReportsDelivered) / res.IngestElapsed.Seconds()
-	}
+	res.AnchorsVerified = true
 	if cfg.ExportDir != "" {
 		if err := f.exportChains(cfg.ExportDir); err != nil {
 			return res, err
@@ -806,101 +619,33 @@ func RunFederation(cfg FederationConfig) (FederationResult, error) {
 	return res, nil
 }
 
-// runFedWaveOut hands WaveFraction of every cluster's at-home masters to
-// the next cluster around the ring.
-func runFedWaveOut(cfg FederationConfig, f *federation, devices []*fedDevice, perCluster int) {
-	want := int(cfg.WaveFraction * float64(perCluster))
-	if want < 1 {
-		want = 1
-	}
-	waved := make([]int, cfg.Clusters)
-	for _, d := range devices {
-		if waved[d.homeCluster] >= want {
+// waveOut hands WaveFraction of every cluster's at-home masters to the next
+// cluster around the ring.
+func (f *federation) waveOut(reporters []*reporter, perCluster int) {
+	want := max(int(f.cfg.WaveFraction*float64(perCluster)), 1)
+	waved := make([]int, len(f.rigs))
+	for _, r := range reporters {
+		if waved[r.home.cluster] >= want || r.guest || r.at != r.home {
 			continue
 		}
-		if d.away || d.guest || d.cluster != d.homeCluster || d.rep != d.homeRep {
-			continue
-		}
-		to := (d.homeCluster + 1) % cfg.Clusters
-		f.handoff(d.id, d.cluster, d.rep, to, f.rigs[d.homeCluster].reps[d.homeRep].id)
-		waved[d.homeCluster]++
+		to := (r.home.cluster + 1) % len(f.rigs)
+		f.handoff(r.id, r.at.cluster, r.at.rep, to, f.homeAgg(r))
+		waved[r.home.cluster]++
 	}
 }
 
-// runFedWaveBack returns every visiting device to its home cluster.
-func runFedWaveBack(f *federation, devices []*fedDevice) {
-	for _, d := range devices {
-		if !d.away {
-			continue
+// waveBack returns every visiting device to its home cluster.
+func (f *federation) waveBack(reporters []*reporter) {
+	for _, r := range reporters {
+		if r.away() {
+			f.handback(r.id, r.at.cluster, r.at.rep, r.home.cluster, f.homeAgg(r))
 		}
-		f.handback(d.id, d.cluster, d.rep, d.homeCluster, f.rigs[d.homeCluster].reps[d.homeRep].id)
 	}
 }
 
-// auditFederation merges every neighborhood chain and audits per-device
-// sequence contiguity (gaps = lost) and uniqueness (repeats = duplicated)
-// federation-wide, up to each device's acknowledged watermark or its
-// highest sealed seq, whichever is larger. A device handed A -> B -> A
-// must therefore land exactly once per seq across the union of chains.
-func auditFederation(chains []*blockchain.Chain, acked map[string]uint64) (lost, dup int) {
-	seen := make(map[string][]uint64, len(acked))
-	for _, c := range chains {
-		for i := 0; i < c.Length(); i++ {
-			b, err := c.Block(i)
-			if err != nil {
-				continue
-			}
-			for _, r := range b.Records {
-				seen[r.DeviceID] = append(seen[r.DeviceID], r.Seq)
-			}
-		}
-	}
-	for dev, floor := range acked {
-		if len(seen[dev]) == 0 && floor > 0 {
-			lost += int(floor)
-		}
-	}
-	for dev, seqs := range seen {
-		sortUint64s(seqs)
-		max := acked[dev]
-		if n := seqs[len(seqs)-1]; n > max {
-			max = n
-		}
-		next := uint64(1)
-		for i, s := range seqs {
-			if i > 0 && s == seqs[i-1] {
-				dup++
-				continue
-			}
-			if s > next {
-				lost += int(s - next)
-			}
-			next = s + 1
-		}
-		if max >= next {
-			lost += int(max - next + 1)
-		}
-	}
-	return lost, dup
-}
-
-// sortUint64s sorts in place (sort.Slice without the interface allocs in
-// the 200k-device audit's hot loop).
-func sortUint64s(a []uint64) {
-	if len(a) < 2 {
-		return
-	}
-	// insertion sort: per-device slices are tens of elements, mostly
-	// already ordered (chains seal in seq order).
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
+// homeAgg names the aggregator holding r's master membership.
+func (f *federation) homeAgg(r *reporter) string {
+	return f.rigs[r.home.cluster].reps[r.home.rep].id
 }
 
 // WriteFederation prints a federated run's result.

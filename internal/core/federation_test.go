@@ -138,7 +138,7 @@ func TestFederationRoamAToBToA(t *testing.T) {
 	report := func() {
 		seq++
 		m := protocol.Measurement{
-			Seq: seq, Timestamp: f.epoch.Add(env.Now()),
+			Seq: seq, Timestamp: scenarioEpoch.Add(env.Now()),
 			Interval: 100 * time.Millisecond, Current: f.perDevice,
 		}
 		batch := make([]protocol.Measurement, 0, 1+len(unacked))
@@ -206,7 +206,7 @@ func TestFederationRoamAToBToA(t *testing.T) {
 		t.Fatalf("acked %d of %d reports", acked[dev], seq)
 	}
 	chains := []*blockchain.Chain{f.rigs[0].chain(), f.rigs[1].chain()}
-	lost, dup := auditFederation(chains, map[string]uint64{dev: acked[dev]})
+	lost, dup := auditChains(chains, map[string]uint64{dev: acked[dev]})
 	if lost != 0 || dup != 0 {
 		t.Fatalf("A->B->A audit: %d lost, %d duplicated — want contiguous unique seqs 1..%d", lost, dup, seq)
 	}
@@ -241,27 +241,27 @@ func TestFederationAuditCatchesLossAndDup(t *testing.T) {
 		return c
 	}
 	// Contiguous across two chains: clean.
-	if lost, dup := auditFederation([]*blockchain.Chain{mk(1, 2, 3), mk(4, 5)},
+	if lost, dup := auditChains([]*blockchain.Chain{mk(1, 2, 3), mk(4, 5)},
 		map[string]uint64{"dev-1": 5}); lost != 0 || dup != 0 {
 		t.Fatalf("clean split audit = %d lost, %d dup", lost, dup)
 	}
 	// Seq 3 missing everywhere: one lost.
-	if lost, dup := auditFederation([]*blockchain.Chain{mk(1, 2), mk(4, 5)},
+	if lost, dup := auditChains([]*blockchain.Chain{mk(1, 2), mk(4, 5)},
 		map[string]uint64{"dev-1": 5}); lost != 1 || dup != 0 {
 		t.Fatalf("gap audit = %d lost, %d dup, want 1/0", lost, dup)
 	}
 	// Seq 2 sealed in both clusters: one duplicate.
-	if lost, dup := auditFederation([]*blockchain.Chain{mk(1, 2), mk(2, 3)},
+	if lost, dup := auditChains([]*blockchain.Chain{mk(1, 2), mk(2, 3)},
 		map[string]uint64{"dev-1": 3}); lost != 0 || dup != 1 {
 		t.Fatalf("dup audit = %d lost, %d dup, want 0/1", lost, dup)
 	}
 	// Acked beyond anything sealed: the tail counts as lost.
-	if lost, dup := auditFederation([]*blockchain.Chain{mk(1, 2)},
+	if lost, dup := auditChains([]*blockchain.Chain{mk(1, 2)},
 		map[string]uint64{"dev-1": 4}); lost != 2 || dup != 0 {
 		t.Fatalf("tail audit = %d lost, %d dup, want 2/0", lost, dup)
 	}
 	// Acked but sealed nowhere at all.
-	if lost, dup := auditFederation([]*blockchain.Chain{},
+	if lost, dup := auditChains([]*blockchain.Chain{},
 		map[string]uint64{"dev-1": 3}); lost != 3 || dup != 0 {
 		t.Fatalf("empty audit = %d lost, %d dup, want 3/0", lost, dup)
 	}
@@ -276,8 +276,7 @@ func TestClusterRigRejectsMoreThan64Replicas(t *testing.T) {
 	_, err := buildClusterRig(env, clusterRigConfig{
 		AggPrefix: "big-agg", Replicas: 65, F: 1,
 		Devices: 650, Shards: 1,
-		PerDevice: units.MilliampsToCurrent(5), Seed: 1,
-		Epoch: time.Date(2020, 4, 29, 0, 0, 0, 0, time.UTC),
+		MaxExpected: units.MilliampsToCurrent(5) * 650, Seed: 1,
 	}, func(string, uint64) {})
 	if err == nil || !strings.Contains(err.Error(), "64-member limit") {
 		t.Fatalf("65-replica rig: want the 64-member limit error, got %v", err)

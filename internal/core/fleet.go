@@ -1,29 +1,22 @@
-// Fleet driver: exercises one aggregator's sharded ingest pipeline at
-// fleet scale (tens of thousands of devices) with ack loss, report
-// retransmission, out-of-order buffered tails, roaming temporaries and
-// membership churn — the conditions the Eco-style in-situ metering line of
-// work says dominate real deployments. Unlike the figure experiments it
-// does not spin up a full radio/device stack per node (20k device state
-// machines would measure the simulator, not the aggregator); producers
-// synthesize the exact protocol.Report traffic the link layer would
-// deliver, concurrently across ingest shards, and the simulation clock is
-// advanced between reporting ticks to drive window closes and sealing.
+// Fleet scenarios: the scenario engine (scenario.go) assembled three ways
+// behind RunFleet.
+//
+// The plain fleet (this file) exercises one aggregator's sharded ingest
+// pipeline at fleet scale (tens of thousands of devices) with ack loss,
+// report retransmission, out-of-order buffered tails, roaming temporaries
+// and membership churn — the conditions the Eco-style in-situ metering line
+// of work says dominate real deployments. The replicated fleet
+// (fleet_replicated.go) and the physics fleet (physics.go) are the same
+// engine over a different topology and reporter behaviour.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"decentmeter/internal/aggregator"
-	"decentmeter/internal/backhaul"
-	"decentmeter/internal/blockchain"
 	"decentmeter/internal/protocol"
-	"decentmeter/internal/sensor"
-	"decentmeter/internal/sim"
-	"decentmeter/internal/tdma"
 	"decentmeter/internal/telemetry"
 	"decentmeter/internal/units"
 )
@@ -76,20 +69,22 @@ type FleetConfig struct {
 	// round or two).
 	RebalanceMaxMoves int
 	// PipelineDepth is the replicated tier's consensus-seal pipeline
-	// window (0 = the ReplicaSet default of 4).
+	// window (0 = the Cluster default of 4).
 	PipelineDepth int
 	// Chaos schedules fault injection over the replicated run: broker
 	// outages, ack-loss bursts, mesh partitions and extra replica crashes
 	// at tick granularity (nil = only the built-in choreography). The
 	// ledger audit still runs afterwards, so a chaos run asserts the
-	// zero-loss invariant under the injected faults. Replicas > 1 only.
+	// zero-loss invariant under the injected faults. The plan targets
+	// replicas: RunFleet rejects it unless Replicas > 1.
 	Chaos *FaultPlan
 
-	// Physics enables the device-physics tier (single-aggregator runs
-	// only): every device carries a battery pack advanced lazily on event
-	// boundaries, samples through its own quantized INA219, stamps
-	// measurements from a drifting DS3231, sheds and browns out on low
-	// SoC, and re-converges through periodic timesync. See PhysicsConfig.
+	// Physics enables the device-physics tier: every device carries a
+	// battery pack advanced lazily on event boundaries, samples through its
+	// own quantized INA219, stamps measurements from a drifting DS3231,
+	// sheds and browns out on low SoC, and re-converges through periodic
+	// timesync. See PhysicsConfig. The tier runs against a single
+	// aggregator: RunFleet rejects Physics.Enabled with Replicas > 1.
 	Physics PhysicsConfig
 
 	// Registry receives live telemetry from every tier the run touches
@@ -183,7 +178,7 @@ type FleetResult struct {
 }
 
 func (c *FleetConfig) defaults() {
-	if c.Physics.Enabled && c.Replicas <= 1 {
+	if c.Physics.Enabled {
 		// The physics tier trades fleet scale for per-device state (pack,
 		// RTC, sensor chain each) and needs enough simulated time for the
 		// shed/brown-out/recover and drift/resync cycles to complete.
@@ -199,9 +194,6 @@ func (c *FleetConfig) defaults() {
 				c.ChurnPerWindow = 1
 			}
 		}
-		// Roaming temporaries forward their data home instead of sealing
-		// it here, which would read as loss to the ledger audit.
-		c.RoamFraction = -1
 	}
 	if c.Replicas > 1 {
 		// The replicated scenario measures failover correctness, not raw
@@ -259,14 +251,6 @@ func (c *FleetConfig) defaults() {
 	}
 }
 
-// fleetDevice is one synthetic reporter's state, owned by one producer.
-type fleetDevice struct {
-	id      string
-	seq     uint64
-	unacked []protocol.Measurement
-	roamer  bool
-}
-
 // FleetAssign distributes device indices over producers with shard
 // affinity: when shards >= producers each producer owns whole shards; when
 // shards < producers each shard's devices are split across a contiguous
@@ -294,264 +278,165 @@ func FleetAssign(deviceShard []int, shards, producers int) [][]int {
 	return out
 }
 
-// RunFleet drives the fleet scenario and reports ingest and verification
-// outcomes. With cfg.Replicas > 1 it runs the replicated-aggregator tier
-// instead: consensus-sealed common chain, mid-window leader crash and
-// recovery, roaming hot-spot wave and dynamic rebalancing.
+// RunFleet assembles and runs the fleet scenario cfg selects: the plain
+// single-aggregator ingest run, the physics tier (cfg.Physics.Enabled), or
+// with cfg.Replicas > 1 the replicated-aggregator tier — consensus-sealed
+// common chain, mid-window leader crash and recovery, roaming hot-spot wave
+// and dynamic rebalancing, plus cfg.Chaos. Combinations no scenario
+// implements are an error, never silently dropped.
 func RunFleet(cfg FleetConfig) (FleetResult, error) {
+	switch {
+	case cfg.Physics.Enabled && cfg.Replicas > 1:
+		return FleetResult{}, errors.New("fleet: the physics tier runs against a single aggregator; Physics.Enabled with Replicas > 1 is not implemented")
+	case cfg.Chaos != nil && cfg.Replicas <= 1:
+		return FleetResult{}, errors.New("fleet: a fault plan targets the replicated tier; Chaos needs Replicas > 1")
+	}
 	cfg.defaults()
-	if cfg.Replicas > 1 {
-		return runReplicatedFleet(cfg)
+	switch {
+	case cfg.Replicas > 1:
+		return replicatedFleet(cfg)
+	case cfg.Physics.Enabled:
+		return physicsFleet(cfg)
 	}
-	if cfg.Physics.Enabled {
-		return runPhysicsFleet(cfg)
-	}
-	res := FleetResult{Devices: cfg.Devices, Shards: cfg.Shards, Producers: cfg.Producers}
+	return plainFleet(cfg)
+}
 
-	env := sim.NewEnv(cfg.Seed)
-	mesh := backhaul.NewMesh(env, time.Millisecond)
+// scenario starts an engine run with cfg's traffic shape.
+func (c *FleetConfig) scenario() *scenario {
+	s := newScenario(c.Seed)
+	s.seconds, s.producers, s.lossRate = c.Seconds, c.Producers, c.LossRate
+	s.perDevice = units.MilliampsToCurrent(c.PerDeviceMilliamps)
+	s.registry, s.tracer = c.Registry, c.Tracer
+	return s
+}
+
+// addRig wires the fleet's one rig: rc supplies what the flavours differ in,
+// cfg the rest.
+func (c *FleetConfig) addRig(s *scenario, rc clusterRigConfig) (*clusterRig, error) {
+	rc.AggPrefix = "fleet-agg"
+	rc.Devices, rc.Shards, rc.MaxPendingRecords = c.Devices, c.Shards, c.MaxPendingRecords
+	rc.Seed, rc.Registry, rc.Tracer = c.Seed, c.Registry, c.Tracer
+	rig, err := buildClusterRig(s.env, rc, s.onAck)
+	if err != nil {
+		return nil, err
+	}
+	s.rigs = []*clusterRig{rig}
+	return rig, nil
+}
+
+// registerStandalone populates a single-aggregator fleet: cfg.Devices
+// reporters named "<prefix>-dev-NNNNN" registered through register, the
+// roaming verifications settled, admission checked, and producers given
+// shard affinity.
+func (c *FleetConfig) registerStandalone(s *scenario, prefix string, register func(*reporter) error) error {
+	agg := s.rigs[0].reps[0].agg
+	deviceShard := make([]int, c.Devices)
+	for i := range deviceShard {
+		r := s.addReporter(fmt.Sprintf("%s-dev-%05d", prefix, i), place{})
+		deviceShard[i] = agg.ShardIndex(r.id)
+		if err := register(r); err != nil {
+			return err
+		}
+	}
+	s.env.RunUntil(s.env.Now() + 50*time.Millisecond)
+	if got := len(agg.Members()); got != c.Devices {
+		return fmt.Errorf("fleet: %d of %d devices admitted", got, c.Devices)
+	}
+	s.assign = FleetAssign(deviceShard, c.Shards, c.Producers)
+	return nil
+}
+
+// fleetResult starts a FleetResult from the engine's tallies and the rig's
+// ledger. AcksReceived is left to the single-aggregator flavours.
+func (s *scenario) fleetResult(cfg FleetConfig) FleetResult {
+	t := s.rigs[0].tally(s.registry)
+	chain := s.rigs[0].chain()
+	return FleetResult{
+		Devices: cfg.Devices, Shards: cfg.Shards, Producers: cfg.Producers,
+		ReportsDelivered: s.delivered, UplinksLost: s.uplinksLost, AcksLost: s.acksLost,
+		MeasurementsAccepted: t.accepted, RecordsDropped: t.dropped,
+		WindowsClosed: t.closed, WindowsOK: t.ok, WindowsFlagged: t.flagged,
+		BlocksSealed: uint64(chain.Length()), RecordsSealed: chain.TotalRecords(),
+		IngestElapsed: s.ingestElapsed, IngestPerSec: s.ingestPerSec(),
+	}
+}
+
+// acksReceived totals the ReportAcks the fleet's devices saw.
+func (s *scenario) acksReceived() (n uint64) {
+	for _, r := range s.reporters {
+		n += r.acks
+	}
+	return n
+}
+
+// plainFleet is the single-aggregator ingest scenario: a constant-draw
+// fleet, RoamFraction of it roaming temporaries whose fresh data is
+// forwarded home over the backhaul, and membership churn across every
+// window boundary.
+func plainFleet(cfg FleetConfig) (FleetResult, error) {
+	s := cfg.scenario()
+	s.mixTailOrder = true
+	// 4x headroom over the fleet's true aggregate draw.
+	rig, err := cfg.addRig(s, clusterRigConfig{MaxExpected: s.perDevice * units.Current(cfg.Devices) * 4})
+	if err != nil {
+		return FleetResult{}, err
+	}
+	agg, load := rig.reps[0].agg, rig.reps[0].load
 
 	// The home peer for roaming temporaries: vouches for any device and
 	// swallows the forwarded batches.
-	var forwardsHome atomic.Uint64
-	if err := mesh.Join("fleet-home", func(from string, msg protocol.Message) {
-		switch m := msg.(type) {
-		case protocol.VerifyRequest:
-			_ = mesh.Send("fleet-home", from, protocol.VerifyResponse{DeviceID: m.DeviceID, OK: true})
-		case protocol.ForwardReport:
-			forwardsHome.Add(uint64(len(m.Measurements)))
+	if err := rig.mesh.Join("fleet-home", func(from string, msg protocol.Message) {
+		if m, ok := msg.(protocol.VerifyRequest); ok {
+			_ = rig.mesh.Send("fleet-home", from, protocol.VerifyResponse{DeviceID: m.DeviceID, OK: true})
 		}
 	}); err != nil {
-		return res, err
+		return FleetResult{}, err
 	}
-
-	// Feeder head: the fleet's true aggregate draw behind a high-current
-	// shunt. 4x headroom keeps the INA219 calibration register inside its
-	// 16-bit range (a clamped register silently scales every reading
-	// down, which the sum check would flag as fleet-wide over-reporting),
-	// and the shunt is sized from the datasheet calibration formula so
-	// the register lands near 60000 whatever the fleet current —
-	// sub-milliohm for a 100 A feeder, milliohms for a bench-scale one.
-	perDevice := units.MilliampsToCurrent(cfg.PerDeviceMilliamps)
-	load := &sensor.StaticLoad{I: units.Current(int64(perDevice) * int64(cfg.Devices)), V: 5 * units.Volt}
-	maxExpected := units.Current(int64(perDevice) * int64(cfg.Devices) * 4)
-	feederShuntOhms := 0.04096 / (maxExpected.Amps() / 32768 * 60000)
-	bus := sensor.NewBus()
-	ina := sensor.NewINA219(load, sensor.INA219Config{Seed: cfg.Seed, ShuntOhms: feederShuntOhms})
-	if err := bus.Attach(sensor.AddrINA219Default, ina); err != nil {
-		return res, err
-	}
-	meter, err := sensor.NewMeter(bus, sensor.AddrINA219Default, maxExpected, feederShuntOhms)
-	if err != nil {
-		return res, err
-	}
-
-	signer, err := blockchain.NewSigner("fleet-agg")
-	if err != nil {
-		return res, err
-	}
-	auth := blockchain.NewAuthority()
-	if err := auth.Admit("fleet-agg", signer.Public()); err != nil {
-		return res, err
-	}
-	chain := blockchain.NewChain(auth)
-
-	// One slot per device: shrink the slot pitch until the superframe
-	// holds the fleet.
-	pitch := (100 * time.Millisecond) / time.Duration(cfg.Devices+1)
-	if pitch < 5*time.Nanosecond {
-		pitch = 5 * time.Nanosecond
-	}
-	slots := tdma.Config{Superframe: 100 * time.Millisecond, SlotLen: pitch * 4 / 5, Guard: pitch / 5}
-	if slots.Guard <= 0 {
-		slots.Guard = 1 * time.Nanosecond
-		slots.SlotLen = pitch - 1*time.Nanosecond
-	}
-
-	var acks, nacks atomic.Uint64
-	epoch := time.Date(2020, 4, 29, 0, 0, 0, 0, time.UTC)
-	agg, err := aggregator.New(aggregator.Config{
-		ID:        "fleet-agg",
-		Env:       env,
-		HeadMeter: meter,
-		WallClock: func() time.Time { return epoch.Add(env.Now()) },
-		Mesh:      mesh,
-		Chain:     chain,
-		Signer:    signer,
-		SendToDevice: func(devID string, msg protocol.Message) error {
-			switch msg.(type) {
-			case protocol.ReportAck:
-				acks.Add(1)
-			case protocol.ReportNack, protocol.RegisterNack:
-				nacks.Add(1)
-			}
-			return nil
-		},
-		Slots:             slots,
-		Shards:            cfg.Shards,
-		MaxPendingRecords: cfg.MaxPendingRecords,
-		Registry:          cfg.Registry,
-		Tracer:            cfg.Tracer,
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Register the fleet (control plane, simulation thread). Roamers go
-	// through the backhaul verification round-trip.
-	devices := make([]*fleetDevice, cfg.Devices)
-	deviceShard := make([]int, cfg.Devices)
-	roamEvery := 0
+	// Every roamEvery-th device is a roamer, registered through the backhaul
+	// verification round-trip.
+	roamEvery, roamers := 0, 0
 	if cfg.RoamFraction > 0 {
 		roamEvery = int(1 / cfg.RoamFraction)
 	}
-	for i := range devices {
-		d := &fleetDevice{id: fmt.Sprintf("fleet-dev-%05d", i)}
-		if roamEvery > 0 && i%roamEvery == roamEvery-1 {
-			d.roamer = true
-			res.Roamers++
+	roams := func(r *reporter) bool { return roamEvery > 0 && r.idx%roamEvery == roamEvery-1 }
+	register := func(r *reporter) {
+		reg := protocol.Register{DeviceID: r.id}
+		if roams(r) {
+			reg.MasterAddr = "fleet-home"
 		}
-		devices[i] = d
-		deviceShard[i] = agg.ShardIndex(d.id)
-		if d.roamer {
-			agg.HandleDeviceMessage(d.id, protocol.Register{DeviceID: d.id, MasterAddr: "fleet-home"})
-		} else {
-			agg.HandleDeviceMessage(d.id, protocol.Register{DeviceID: d.id})
+		agg.HandleDeviceMessage(r.id, reg)
+	}
+	if err := cfg.registerStandalone(s, "fleet", func(r *reporter) error {
+		if roams(r) {
+			roamers++
 		}
-	}
-	env.RunUntil(env.Now() + 50*time.Millisecond) // settle roaming verifications
-	if got := len(agg.Members()); got != cfg.Devices {
-		return res, fmt.Errorf("fleet: %d of %d devices admitted", got, cfg.Devices)
-	}
-
-	assign := FleetAssign(deviceShard, cfg.Shards, cfg.Producers)
-	rngs := make([]*sim.RNG, cfg.Producers)
-	for p := range rngs {
-		rngs[p] = sim.NewRNG(cfg.Seed ^ uint64(p+1)*0x9e3779b97f4a7c15)
+		load.I += s.perDevice
+		register(r)
+		return nil
+	}); err != nil {
+		return FleetResult{}, err
 	}
 
-	// Main loop: per simulated second, ten concurrent reporting rounds,
-	// then advance the clock across the window boundary (ground sampling,
-	// window close, seal) and churn some membership.
-	var delivered, uplost, acklost atomic.Uint64
-	var lastLost uint64
-	churnCursor := 0
-	for sec := 0; sec < cfg.Seconds; sec++ {
-		for tick := 0; tick < 10; tick++ {
-			tickTime := epoch.Add(env.Now())
-			start := time.Now()
-			var wg sync.WaitGroup
-			for p := 0; p < cfg.Producers; p++ {
-				if len(assign[p]) == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					rng := rngs[p]
-					for _, di := range assign[p] {
-						d := devices[di]
-						d.seq++
-						m := protocol.Measurement{
-							Seq:       d.seq,
-							Timestamp: tickTime,
-							Interval:  100 * time.Millisecond,
-							Current:   perDevice,
-							Voltage:   5 * units.Volt,
-						}
-						// Unacked retransmissions ride along; order the
-						// batch live-first sometimes so buffered tails
-						// carry older seqs (the ack must still advance by
-						// the batch max).
-						var batch []protocol.Measurement
-						if len(d.unacked) == 0 {
-							d.unacked = append(d.unacked, m)
-							batch = d.unacked
-						} else if rng.Bool(0.5) {
-							batch = append(batch[:0], m)
-							for _, old := range d.unacked {
-								old.Buffered = true
-								batch = append(batch, old)
-							}
-							d.unacked = append(d.unacked, m)
-						} else {
-							d.unacked = append(d.unacked, m)
-							batch = d.unacked
-						}
-						if rng.Bool(cfg.LossRate) {
-							uplost.Add(1)
-							continue // uplink lost: everything stays unacked
-						}
-						// No broker in this driver, so the producer is the
-						// journey's sampling point.
-						if cfg.Tracer.Sample() {
-							cfg.Tracer.Begin(d.id)
-						}
-						agg.HandleDeviceMessage(d.id, protocol.Report{DeviceID: d.id, Measurements: batch})
-						delivered.Add(1)
-						if rng.Bool(cfg.LossRate) {
-							acklost.Add(1)
-							continue // ack lost: retransmit next tick
-						}
-						d.unacked = d.unacked[:0]
-					}
-				}(p)
-			}
-			wg.Wait()
-			res.IngestElapsed += time.Since(start)
-			env.RunUntil(env.Now() + 100*time.Millisecond)
-		}
-		// Membership churn across the window boundary: departures fold
-		// their partial window instead of firing false anomalies.
-		for i := 0; i < cfg.ChurnPerWindow && cfg.Devices > 0; i++ {
-			d := devices[churnCursor%cfg.Devices]
-			churnCursor++
-			if d.roamer {
-				agg.ReleaseTemporary(d.id)
-				agg.HandleDeviceMessage(d.id, protocol.Register{DeviceID: d.id, MasterAddr: "fleet-home"})
+	s.afterBoundary = func(int) {
+		s.churn(cfg.ChurnPerWindow, func(r *reporter) bool {
+			if roams(r) {
+				agg.ReleaseTemporary(r.id)
 			} else {
-				agg.RemoveDevice(d.id)
-				agg.HandleDeviceMessage(d.id, protocol.Register{DeviceID: d.id})
+				agg.RemoveDevice(r.id)
 			}
-			d.unacked = d.unacked[:0]
-			res.ChurnEvents++
-		}
-		if cfg.Registry != nil {
-			// Per-window loss trace: uplinks plus acks lost during this
-			// simulated second (one verification window).
-			lost := uplost.Load() + acklost.Load()
-			cfg.Registry.Series("fleet.window_loss", 4096).Append(env.Now(), float64(lost-lastLost))
-			lastLost = lost
-		}
-		env.RunUntil(env.Now() + 10*time.Millisecond) // settle churn round-trips
+			register(r)
+			r.unacked = r.unacked[:0]
+			return true
+		})
 	}
-	agg.Stop()
+	if err := s.run(); err != nil {
+		return FleetResult{}, err
+	}
+	rig.stop()
 
-	res.ReportsDelivered = delivered.Load()
-	res.UplinksLost = uplost.Load()
-	res.AcksLost = acklost.Load()
-	res.AcksReceived = acks.Load()
-	accepted, _, sealed := agg.Stats()
-	res.MeasurementsAccepted = accepted
-	res.BlocksSealed = sealed
-	res.RecordsSealed = chain.TotalRecords()
-	res.RecordsDropped = agg.DroppedRecords()
-	for _, w := range agg.Windows() {
-		res.WindowsClosed++
-		ok := 0.0
-		if w.Verdict.OK {
-			res.WindowsOK++
-			ok = 1
-		} else {
-			res.WindowsFlagged++
-		}
-		if cfg.Registry != nil {
-			cfg.Registry.Series("fleet.window_ok", 4096).Append(w.Start, ok)
-		}
-	}
-	if res.IngestElapsed > 0 {
-		res.IngestPerSec = float64(res.ReportsDelivered) / res.IngestElapsed.Seconds()
-	}
+	res := s.fleetResult(cfg)
+	res.AcksReceived = s.acksReceived()
+	res.Roamers, res.ChurnEvents = roamers, s.churnEvents
 	return res, nil
 }
 

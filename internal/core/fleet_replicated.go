@@ -1,7 +1,7 @@
-// Replicated fleet driver: the replicated-aggregator tier at fleet scale.
-// N aggregator replicas run as a consensus cluster sealing one common chain
-// while synthetic producers drive the report traffic; the choreography
-// covers, window-aligned:
+// Replicated fleet: the replicated-aggregator tier at fleet scale. N
+// aggregator replicas run as a consensus cluster sealing one common chain
+// while the scenario engine's producers drive the report traffic; the
+// choreography covers, window-aligned:
 //
 //	sec 1, tick 5   the current consensus leader crashes MID-WINDOW; its
 //	                devices fail over to live replicas as foreign-feeder
@@ -16,128 +16,49 @@
 //	                high-water mark; migrations execute with the Fig. 3
 //	                machinery (release slot, temporary grant at target)
 //
-// Like the single-aggregator fleet, devices are synthetic reporters, but
-// every correctness surface is real: TDMA admission, home verification,
-// backhaul forwarding, window sum checks against per-replica feeder-head
-// meters, consensus sealing, failover and recovery.
+// Like the plain fleet, devices are synthetic reporters, but every
+// correctness surface is real: TDMA admission, home verification, backhaul
+// forwarding, window sum checks against per-replica feeder-head meters,
+// consensus sealing, failover and recovery.
 package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"decentmeter/internal/aggregator"
-	"decentmeter/internal/blockchain"
 	"decentmeter/internal/protocol"
-	"decentmeter/internal/sensor"
-	"decentmeter/internal/sim"
 	"decentmeter/internal/units"
 )
 
-// repFleetDevice is one synthetic reporter in the replicated scenario.
-type repFleetDevice struct {
-	id      string
-	home    int // home replica index (master membership)
-	agg     int // replica currently reported to
-	guest   bool
-	seq     uint64
-	lastAck uint64 // raised inline by the serving replica's ack path
-	unacked []protocol.Measurement
-}
-
-// fleetReplica is one replica's driver-side handle.
-type fleetReplica struct {
-	id   string
-	agg  *aggregator.Aggregator
-	load *sensor.StaticLoad
-}
-
-func runReplicatedFleet(cfg FleetConfig) (FleetResult, error) {
+func replicatedFleet(cfg FleetConfig) (FleetResult, error) {
 	n := cfg.Replicas
-	res := FleetResult{
-		Devices: cfg.Devices, Shards: cfg.Shards, Producers: cfg.Producers,
-		Replicas: n,
-	}
 	if cfg.Devices < 4*n {
-		return res, fmt.Errorf("fleet: %d devices cannot spread over %d replicas", cfg.Devices, n)
+		return FleetResult{}, fmt.Errorf("fleet: %d devices cannot spread over %d replicas", cfg.Devices, n)
 	}
-
-	env := sim.NewEnv(cfg.Seed)
-	epoch := time.Date(2020, 4, 29, 0, 0, 0, 0, time.UTC)
-	perDevice := units.MilliampsToCurrent(cfg.PerDeviceMilliamps)
-
-	devices := make([]*repFleetDevice, cfg.Devices)
-	byID := make(map[string]*repFleetDevice, cfg.Devices)
-
-	rig, err := buildClusterRig(env, clusterRigConfig{
-		AggPrefix: "fleet-agg",
-		Replicas:  n, F: cfg.F,
-		Devices: cfg.Devices, Shards: cfg.Shards,
-		MaxPendingRecords: cfg.MaxPendingRecords,
+	s := cfg.scenario()
+	// Cluster-wide draw as the expected maximum keeps the INA219 calibration
+	// register in range on every replica.
+	rig, err := cfg.addRig(s, clusterRigConfig{
+		Replicas: n, F: cfg.F,
 		PipelineDepth:     cfg.PipelineDepth,
 		RebalanceMaxMoves: cfg.RebalanceMaxMoves,
-		PerDevice:         perDevice,
-		Seed:              cfg.Seed,
-		Epoch:             epoch,
-		Registry:          cfg.Registry, Tracer: cfg.Tracer,
-	}, func(devID string, seq uint64) {
-		if d, ok := byID[devID]; ok && seq > d.lastAck {
-			d.lastAck = seq
-		}
+		MaxExpected:       s.perDevice * units.Current(cfg.Devices),
 	})
 	if err != nil {
-		return res, err
+		return FleetResult{}, err
 	}
-	mesh, reps, idx, rs := rig.mesh, rig.reps, rig.idx, rig.rs
-	rs.Steer = func(devID, aggID string) {
-		d, okD := byID[devID]
-		to, okT := idx[aggID]
-		if !okD || !okT {
-			return
-		}
-		src, _ := rs.Replica(reps[d.agg].id)
-		switch {
-		case src != nil && src.Crashed():
-			// Crash failover: the device keeps its outlet on the dead
-			// network's feeder; only its reporting moves.
-			d.guest = true
-		case d.guest:
-			// Recovery reclaim: back home, still on its own feeder.
-			d.guest = false
-		default:
-			// Live migration: the (roaming) device moves draw and all.
-			reps[d.agg].load.I -= perDevice
-			reps[to].load.I += perDevice
-		}
-		d.agg = to
-	}
+	rs, reps := rig.rs, rig.reps
+	rs.Steer = s.steerWithin(0)
 
-	// Register the fleet round-robin across replicas (master memberships,
-	// admitted inline — no backhaul round trip for home registration).
-	perReplica := make([]int, n)
-	for i := range devices {
-		d := &repFleetDevice{id: fmt.Sprintf("fleet-dev-%05d", i), home: i % n, agg: i % n}
-		devices[i] = d
-		byID[d.id] = d
-		reps[d.home].agg.HandleDeviceMessage(d.id, protocol.Register{DeviceID: d.id})
-		reps[d.home].load.I += perDevice
-		perReplica[d.home]++
+	// The fleet homes round-robin across replicas.
+	if err := s.registerMasters("fleet-dev-%05d", cfg.Devices, func(i int) place { return place{rep: i % n} }); err != nil {
+		return FleetResult{}, err
 	}
-	for r := 0; r < n; r++ {
-		if got := len(reps[r].agg.Members()); got != perReplica[r] {
-			return res, fmt.Errorf("fleet: replica %d admitted %d of %d devices", r, got, perReplica[r])
+	if cfg.Chaos != nil {
+		if err := cfg.Chaos.validate(cfg.Seconds, n); err != nil {
+			return FleetResult{}, err
 		}
-	}
-
-	assign := make([][]int, cfg.Producers)
-	for i := range devices {
-		assign[i%cfg.Producers] = append(assign[i%cfg.Producers], i)
-	}
-	rngs := make([]*sim.RNG, cfg.Producers)
-	for p := range rngs {
-		rngs[p] = sim.NewRNG(cfg.Seed ^ uint64(p+1)*0x9e3779b97f4a7c15)
+		s.chaos = newChaosDriver(cfg.Chaos, rig, cfg.Devices)
 	}
 
 	const (
@@ -148,283 +69,86 @@ func runReplicatedFleet(cfg FleetConfig) (FleetResult, error) {
 	)
 	hotspot := 0
 	var crashedID string
-	start := env.Now()
-	var delivered, uplost, acklost, outageDrops, ackBurstDrops atomic.Uint64
-
-	var chaos *chaosDriver
-	if cfg.Chaos != nil {
-		if err := cfg.Chaos.validate(cfg.Seconds, n); err != nil {
-			return res, err
+	var rehomed, waveRoamers, migrations int
+	s.beforeTick = func(sec, tick int) error {
+		if sec != crashSec || tick != crashTick {
+			return nil
 		}
-		chaos = newChaosDriver(cfg.Chaos, mesh, rs, reps, cfg.Devices)
+		crashedID = rs.LeaderID()
+		hotspot = (rig.idx[crashedID] + 1) % n // heat a surviving replica later
+		if err := rs.Crash(crashedID); err != nil {
+			return err
+		}
+		rehomed = len(rs.Migrations())
+		return nil
 	}
-
-	for sec := 0; sec < cfg.Seconds; sec++ {
-		// Window-boundary choreography. The previous second's ticks stop
-		// 1 ms short of the boundary, so membership and feeder-draw moves
-		// land after the old window's last ground sample but before the
-		// close and the new window's first sample — both windows then see
-		// a consistent (draw, reporter) pairing.
+	s.beforeBoundary = func(sec int) error {
 		if sec == recoverSec && crashedID != "" {
 			if err := rs.Recover(crashedID); err != nil {
-				return res, err
+				return err
 			}
 		}
 		if sec == waveSec {
-			res.WaveRoamers = runWave(cfg, reps, devices, perDevice, hotspot)
-			env.RunUntil(env.Now() + 20*time.Millisecond) // settle verifications
+			waveRoamers = s.hotspotWave(int(cfg.WaveFraction*float64(cfg.Devices)), hotspot)
+			s.env.RunUntil(s.env.Now() + 20*time.Millisecond) // settle verifications
 		}
 		if sec > waveSec {
-			res.RebalanceMigrations += len(rs.RebalanceNow())
+			migrations += len(rs.RebalanceNow())
 		}
-		// Cross the boundary before the first tick: the window close and
-		// the new window's first ground sample must fire before any
-		// tick-0 report lands.
-		env.RunUntil(start + time.Duration(sec)*time.Second)
-		for tick := 0; tick < 10; tick++ {
-			if sec == crashSec && tick == crashTick {
-				crashedID = rs.LeaderID()
-				hotspot = (idx[crashedID] + 1) % n // heat a surviving replica later
-				if err := rs.Crash(crashedID); err != nil {
-					return res, err
-				}
-				res.DevicesRehomed = len(rs.Migrations())
-			}
-			// Injected faults fire after the built-in choreography, so the
-			// chaos crash guard sees the scripted crash and stands down
-			// instead of taking the cluster below quorum.
-			if chaos != nil {
-				if err := chaos.step(sec, tick); err != nil {
-					return res, err
-				}
-			}
-			tickTime := epoch.Add(env.Now())
-			ingestStart := time.Now()
-			var wg sync.WaitGroup
-			for p := 0; p < cfg.Producers; p++ {
-				if len(assign[p]) == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					rng := rngs[p]
-					for _, di := range assign[p] {
-						d := devices[di]
-						d.seq++
-						m := protocol.Measurement{
-							Seq:       d.seq,
-							Timestamp: tickTime,
-							Interval:  100 * time.Millisecond,
-							Current:   perDevice,
-							Voltage:   5 * units.Volt,
-						}
-						// The unacked tail retransmits marked buffered: it
-						// describes past intervals and must stay out of
-						// the live window sums wherever it lands.
-						batch := make([]protocol.Measurement, 0, 1+len(d.unacked))
-						batch = append(batch, m)
-						for _, u := range d.unacked {
-							u.Buffered = true
-							batch = append(batch, u)
-						}
-						d.unacked = append(d.unacked, m)
-						if chaos != nil && chaos.uplinkDown.Load() {
-							// Broker down: the measurement stays in the
-							// local buffer and retransmits with the tail.
-							outageDrops.Add(1)
-							continue
-						}
-						if rng.Bool(cfg.LossRate) {
-							uplost.Add(1)
-							continue // uplink lost: everything stays unacked
-						}
-						// No broker in this driver, so the producer is the
-						// journey's sampling point.
-						if cfg.Tracer.Sample() {
-							cfg.Tracer.Begin(d.id)
-						}
-						reps[d.agg].agg.HandleDeviceMessage(d.id, protocol.Report{DeviceID: d.id, Measurements: batch})
-						delivered.Add(1)
-						if chaos != nil && chaos.ackDown.Load() {
-							// Ack suppressed: the tail keeps retransmitting
-							// until acks resume; dedup absorbs every copy.
-							ackBurstDrops.Add(1)
-							continue
-						}
-						if rng.Bool(cfg.LossRate) {
-							acklost.Add(1)
-							continue // ack lost: the tail retransmits; dedup absorbs it
-						}
-						keep := d.unacked[:0]
-						for _, u := range d.unacked {
-							if u.Seq > d.lastAck {
-								keep = append(keep, u)
-							}
-						}
-						d.unacked = keep
-					}
-				}(p)
-			}
-			wg.Wait()
-			res.IngestElapsed += time.Since(ingestStart)
-			deadline := start + time.Duration(sec)*time.Second + time.Duration(tick+1)*100*time.Millisecond
-			if tick == 9 {
-				deadline -= time.Millisecond // leave room for boundary choreography
-			}
-			env.RunUntil(deadline)
-		}
+		return nil
 	}
-	if chaos != nil {
-		// Heal anything a fault plan left open (partitions, crashed
-		// replicas) and give late recoveries time to catch up before the
-		// final window closes and the ledger audits.
-		open, err := chaos.finishAll()
-		if err != nil {
-			return res, err
-		}
-		if open {
-			env.RunUntil(env.Now() + 100*time.Millisecond)
-		}
+	if err := s.run(); err != nil {
+		return FleetResult{}, err
 	}
-	env.RunUntil(env.Now() + 101*time.Millisecond) // final close + settle the decides
+	s.env.RunUntil(s.env.Now() + tickInterval) // final close + settle the decides
 	rig.stop()
 
-	res.ReportsDelivered = delivered.Load()
-	res.UplinksLost = uplost.Load()
-	res.AcksLost = acklost.Load()
-	if chaos != nil {
-		res.FaultsInjected = chaos.injected
-		res.OutageDrops = outageDrops.Load()
-		res.AckBurstDrops = ackBurstDrops.Load()
-		res.Reconnects = chaos.reconnects
-		res.FaultLog = chaos.log
+	res := s.fleetResult(cfg)
+	res.Replicas = n
+	res.DevicesRehomed, res.WaveRoamers, res.RebalanceMigrations = rehomed, waveRoamers, migrations
+	if c := s.chaos; c != nil {
+		res.FaultsInjected, res.Reconnects, res.FaultLog = c.injected, c.reconnects, c.log
+		res.OutageDrops, res.AckBurstDrops = s.outageDrops, s.ackBurstDrops
 		if cfg.Registry != nil {
-			cfg.Registry.Counter("fleet.reconnects").AddInt(chaos.reconnects)
+			cfg.Registry.Counter("fleet.reconnects").AddInt(c.reconnects)
 		}
 	}
 	res.ViewChanges = rs.CurrentView()
-	res.Crashes = rs.Crashes()
-	res.Recoveries = rs.Recoveries()
-	res.Corruptions = rs.Corruptions()
-	res.Restores = rs.Restores()
+	res.Crashes, res.Recoveries = rs.Crashes(), rs.Recoveries()
+	res.Corruptions, res.Restores = rs.Corruptions(), rs.Restores()
 	_, res.BatchesDecided, _ = rs.Stats()
 	res.ChainsIdentical = rs.ChainsIdentical()
 	res.ImportErrors = rs.ImportErrors()
-	for r := range reps {
-		accepted, _, _ := reps[r].agg.Stats()
-		res.MeasurementsAccepted += accepted
-		res.RecordsDropped += reps[r].agg.DroppedRecords()
-		for _, w := range reps[r].agg.Windows() {
-			res.WindowsClosed++
-			ok := 0.0
-			if w.Verdict.OK {
-				res.WindowsOK++
-				ok = 1
-			} else {
-				res.WindowsFlagged++
-			}
-			if cfg.Registry != nil {
-				cfg.Registry.Series("fleet.window_ok", 4096).Append(w.Start, ok)
-			}
-		}
-	}
-	if cfg.Registry != nil {
-		cfg.Registry.Series("fleet.window_loss", 4096).Append(env.Now(),
-			float64(res.UplinksLost+res.AcksLost))
-	}
-	used, capacity := reps[hotspot].agg.SlotStats()
-	if capacity > 0 {
+	s.appendWindowLoss()
+	if used, capacity := reps[hotspot].agg.SlotStats(); capacity > 0 {
 		res.HotspotLoadAfter = float64(used) / float64(capacity)
 	}
-
-	chain, _ := rs.ChainOf(reps[0].id)
-	res.BlocksSealed = uint64(chain.Length())
-	res.RecordsSealed = chain.TotalRecords()
-	// Every acknowledged measurement must be on the ledger: audit against
-	// each device's ack watermark, not just the highest sealed seq — a
-	// device whose records stopped being sealed entirely would otherwise
-	// hide its own tail loss.
-	acked := make(map[string]uint64, len(devices))
-	for _, d := range devices {
-		acked[d.id] = d.lastAck
-	}
-	res.RecordsLost, res.RecordsDuplicated = auditLedger(chain, acked)
-	if res.IngestElapsed > 0 {
-		res.IngestPerSec = float64(res.ReportsDelivered) / res.IngestElapsed.Seconds()
-	}
+	res.RecordsLost, res.RecordsDuplicated = s.audit()
 	return res, nil
 }
 
-// runWave roams a slice of the fleet onto the hot-spot replica as ordinary
-// temporaries: draw moves with the device (it physically roams) and the
-// registration runs the real Fig. 3 sequence 2 (home verification over the
-// backhaul).
-func runWave(cfg FleetConfig, reps []fleetReplica, devices []*repFleetDevice,
-	perDevice units.Current, hotspot int) int {
-	want := int(cfg.WaveFraction * float64(cfg.Devices))
+// hotspotWave roams up to want at-home devices onto the hot-spot replica as
+// ordinary temporaries: draw moves with the device (it physically roams) and
+// the registration runs the real Fig. 3 sequence 2 (home verification over
+// the backhaul).
+func (s *scenario) hotspotWave(want, hotspot int) int {
+	reps := s.rigs[0].reps
 	waved := 0
-	for _, d := range devices {
+	for _, r := range s.reporters {
 		if waved >= want {
 			break
 		}
-		if d.home == hotspot || d.agg != d.home || d.guest {
+		if r.home.rep == hotspot || r.at != r.home || r.guest {
 			continue
 		}
-		reps[d.agg].load.I -= perDevice
-		reps[hotspot].load.I += perDevice
-		d.agg = hotspot
-		reps[hotspot].agg.HandleDeviceMessage(d.id, protocol.Register{
-			DeviceID:   d.id,
-			MasterAddr: reps[d.home].id,
+		reps[r.at.rep].load.I -= s.perDevice
+		reps[hotspot].load.I += s.perDevice
+		r.at.rep = hotspot
+		reps[hotspot].agg.HandleDeviceMessage(r.id, protocol.Register{
+			DeviceID:   r.id,
+			MasterAddr: reps[r.home.rep].id,
 		})
 		waved++
 	}
 	return waved
-}
-
-// auditLedger walks the common chain and reports per-device sequence gaps
-// (lost records) and multiply-sealed (device, seq) pairs (duplicates).
-// Coverage is checked up to each device's acknowledged watermark or its
-// highest sealed seq, whichever is larger — acked-but-unsealed tails count
-// as loss.
-func auditLedger(chain *blockchain.Chain, acked map[string]uint64) (lost, dup int) {
-	seen := make(map[string]map[uint64]int, len(acked))
-	for i := 0; i < chain.Length(); i++ {
-		b, err := chain.Block(i)
-		if err != nil {
-			continue
-		}
-		for _, r := range b.Records {
-			m, ok := seen[r.DeviceID]
-			if !ok {
-				m = make(map[uint64]int)
-				seen[r.DeviceID] = m
-			}
-			m[r.Seq]++
-		}
-	}
-	for dev, floor := range acked {
-		if seen[dev] == nil && floor > 0 {
-			lost += int(floor)
-			continue
-		}
-	}
-	for dev, seqs := range seen {
-		max := acked[dev]
-		for s, c := range seqs {
-			if s > max {
-				max = s
-			}
-			if c > 1 {
-				dup += c - 1
-			}
-		}
-		for s := uint64(1); s <= max; s++ {
-			if seqs[s] == 0 {
-				lost++
-			}
-		}
-	}
-	return lost, dup
 }

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // A small fleet run must verify cleanly: every window OK despite ack loss,
 // retransmission, roaming temporaries and membership churn, with dedup
@@ -40,6 +43,30 @@ func TestRunFleetSmall(t *testing.T) {
 	}
 	if res.ReportsDelivered == 0 || res.AcksReceived == 0 {
 		t.Fatalf("no traffic: %+v", res)
+	}
+}
+
+// RunFleet must refuse the combinations no scenario implements, naming the
+// offending field, instead of silently dropping half the config.
+func TestRunFleetRejectsUnimplementedCombinations(t *testing.T) {
+	for name, tc := range map[string]struct {
+		cfg  FleetConfig
+		want string
+	}{
+		"physics on the replicated tier": {
+			FleetConfig{Devices: 40, Replicas: 4, Physics: PhysicsConfig{Enabled: true}}, "Physics.Enabled"},
+		"fault plan on a single aggregator": {
+			FleetConfig{Devices: 40, Chaos: DefaultFaultPlan()}, "Chaos"},
+		"fault plan on the physics tier": {
+			FleetConfig{Devices: 40, Replicas: 1, Chaos: ByzantineFaultPlan(), Physics: PhysicsConfig{Enabled: true}}, "Chaos"},
+	} {
+		res, err := RunFleet(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %s", name, err, tc.want)
+		}
+		if res.ReportsDelivered != 0 {
+			t.Errorf("%s: ran %d reports before refusing", name, res.ReportsDelivered)
+		}
 	}
 }
 

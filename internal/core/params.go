@@ -58,7 +58,7 @@ type Params struct {
 	MaxPendingRecords int
 	// Replicas is the aggregator replica count of the fleet scenario's
 	// replicated tier (<= 1 runs the legacy single-aggregator fleet; see
-	// core.ReplicaSet).
+	// core.Cluster).
 	Replicas int
 	// ConsensusF is the replicated tier's fault tolerance; Replicas must
 	// be at least 3*ConsensusF+1.

@@ -1,8 +1,10 @@
 // Physics-enabled fleet tier: every synthetic device carries a real
 // device.Physics plane — a lazily-integrated battery pack, an INA219 it
 // actually samples through (quantized, offset, noisy), and a DS3231 whose
-// realized drift stamps its measurements. The driver choreographs three
-// checked scenarios in one run, as cohorts of the same fleet:
+// realized drift stamps its measurements — the scenario engine's reporters
+// with a devicePhysics attached and a sample hook that reads through it. The
+// scenario choreographs three checks in one run, as cohorts of the same
+// fleet:
 //
 //   - diurnal solar swing: a cohort harvesting from a compressed "day"
 //     (sinusoidal harvest profile) whose SoC must visibly swing without
@@ -22,25 +24,18 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"decentmeter/internal/aggregator"
-	"decentmeter/internal/backhaul"
-	"decentmeter/internal/blockchain"
 	"decentmeter/internal/device"
 	"decentmeter/internal/energy"
 	"decentmeter/internal/protocol"
 	"decentmeter/internal/sensor"
-	"decentmeter/internal/sim"
-	"decentmeter/internal/tdma"
 	"decentmeter/internal/timesync"
 	"decentmeter/internal/units"
 )
 
 // PhysicsConfig parameterizes the physics-enabled fleet tier. The zero
-// value (Enabled false) keeps every legacy driver byte-identical: no pack,
+// value (Enabled false) keeps every other scenario byte-identical: no pack,
 // no RTC, no skew gate, nothing on the report hot path.
 //
 // The defaults compress the paper's day-scale physics onto the simulation's
@@ -132,26 +127,18 @@ const (
 	cohortCount
 )
 
-// physDevice is one physics-fleet reporter: the synthetic producer state of
-// fleetDevice plus a real physics plane, sensor chain and sync estimator.
-type physDevice struct {
-	id     string
-	idx    int
+// devicePhysics is a reporter's physics attachment: the plane (pack, shed
+// state machine), the sensor chain it samples through and its sync state.
+type devicePhysics struct {
 	cohort int
+	plane  *device.Physics
+	rtc    *sensor.DS3231
+	meter  *sensor.Meter
+	est    *timesync.Estimator
 
-	seq     uint64
-	lastAck uint64 // raised inline by the aggregator's ack path
-	unacked []protocol.Measurement
+	nextSync time.Duration
 
-	phys  *device.Physics
-	rtc   *sensor.DS3231
-	meter *sensor.Meter
-	est   *timesync.Estimator
-
-	nextSync    time.Duration
-	sinceReport int // ticks since the last sample, for shed-mode skipping
-
-	// Producer-owned counters, summed on the sim thread after the run.
+	// Producer-owned counters, summed on the driver thread after the run.
 	shedSkipped uint64
 	brownedOut  uint64
 }
@@ -161,33 +148,28 @@ type physDevice struct {
 type packLoad struct {
 	pack *energy.Pack
 	now  func() time.Duration
-	v    units.Voltage
 }
 
 func (l packLoad) TrueCurrent() units.Current    { return l.pack.TrueLoad(l.now()) }
-func (l packLoad) TrueBusVoltage() units.Voltage { return l.v }
+func (l packLoad) TrueBusVoltage() units.Voltage { return supplyVoltage }
 
 // fleetPhysLoad is the feeder head's ground truth: the sum of every pack's
 // instantaneous draw. Browned-out devices present zero, so the sum check
 // tracks the fleet's real consumption as cohorts shed and recover. Only the
-// sim thread reads it (the aggregator's ground ticker), and only while the
-// producers are quiescent, so no locking is needed.
-type fleetPhysLoad struct {
-	devs []*physDevice
-	now  func() time.Duration
-	v    units.Voltage
-}
+// driver thread reads it (the aggregator's ground ticker), and only while
+// the producers are quiescent, so no locking is needed.
+type fleetPhysLoad struct{ s *scenario }
 
-func (l *fleetPhysLoad) TrueCurrent() units.Current {
-	t := l.now()
+func (l fleetPhysLoad) TrueCurrent() units.Current {
+	t := l.s.env.Now()
 	var sum units.Current
-	for _, d := range l.devs {
-		sum += d.phys.Pack.TrueLoad(t)
+	for _, r := range l.s.reporters {
+		sum += r.phys.plane.Pack.TrueLoad(t)
 	}
 	return sum
 }
 
-func (l *fleetPhysLoad) TrueBusVoltage() units.Voltage { return l.v }
+func (l fleetPhysLoad) TrueBusVoltage() units.Voltage { return supplyVoltage }
 
 // rtcClock adapts the DS3231 model to the timesync.Clock interface.
 type rtcClock struct{ r *sensor.DS3231 }
@@ -195,221 +177,168 @@ type rtcClock struct{ r *sensor.DS3231 }
 func (c rtcClock) Now() (time.Time, error) { return c.r.Now(), nil }
 func (c rtcClock) Set(t time.Time) error   { c.r.SetTime(t); return nil }
 
-// runPhysicsFleet drives the physics-enabled fleet tier. It returns an
-// error when a scenario invariant or the ledger audit fails, with the
-// partially-filled result for diagnosis.
-func runPhysicsFleet(cfg FleetConfig) (FleetResult, error) {
+// attach builds device i's physics plane for its cohort.
+func (ph *PhysicsConfig) attach(s *scenario, r *reporter) error {
+	i := r.idx
+	p := &devicePhysics{cohort: i % cohortCount, est: timesync.NewEstimator(1), nextSync: ph.SyncInterval}
+	var harvest energy.Profile
+	initial := 0.7
+	switch p.cohort {
+	case cohortSolar:
+		// Dawn at t=0: harvest rises from zero through the first "day".
+		harvest = energy.Sine{
+			Mean:      units.MilliampsToCurrent(ph.SolarMilliamps),
+			Amplitude: units.MilliampsToCurrent(ph.SolarMilliamps),
+			Period:    ph.SolarPeriod,
+			Phase:     -3.14159265358979 / 2,
+		}
+	case cohortShed:
+		harvest = energy.Constant{I: units.MilliampsToCurrent(ph.TrickleMilliamps)}
+		// Stagger the cohort across the shed band so transitions are
+		// spread over the run instead of synchronized.
+		initial = 0.25 + 0.20*float64(i/cohortCount%7)/7
+	case cohortDrift:
+		// Clock trouble, not power trouble: harvest covers the drain so
+		// the cohort stays up while its RTC misbehaves.
+		harvest = energy.Constant{I: units.MilliampsToCurrent(ph.DrainMilliamps + 20)}
+		initial = 1.0
+	}
+	drain := energy.Constant{I: units.MilliampsToCurrent(ph.DrainMilliamps)}
+	pack := energy.NewPack(ph.CapacityWh, initial, supplyVoltage, drain, harvest)
+	p.plane = device.NewPhysics(pack)
+	p.plane.SampleCost, p.plane.TxCost, p.plane.RetryCost = ph.SampleCost, ph.TxCost, ph.RetryCost
+	p.plane.ShedFactor = ph.ShedFactor
+	p.plane.TrueWall = func(simNow time.Duration) time.Time { return scenarioEpoch.Add(simNow) }
+
+	p.rtc = sensor.NewDS3231(sensor.DS3231Config{Seed: s.seed ^ uint64(i)<<8, Epoch: scenarioEpoch, Now: s.env.Now})
+	p.rtc.SetTime(scenarioEpoch) // clear OSF; drift accumulates from here
+	if p.cohort == cohortDrift {
+		p.rtc.DriftPPM = ph.DriftPPM
+	}
+	p.plane.RTC = p.rtc
+
+	bus := sensor.NewBus()
+	ina := sensor.NewINA219(packLoad{pack: pack, now: s.env.Now},
+		sensor.INA219Config{Seed: s.seed ^ uint64(i)*0x9e3779b97f4a7c15, Now: s.env.Now})
+	if err := bus.Attach(sensor.AddrINA219Default, ina); err != nil {
+		return err
+	}
+	meter, err := sensor.NewMeter(bus, sensor.AddrINA219Default, units.MilliampsToCurrent(ph.DrainMilliamps*4), 0.1)
+	if err != nil {
+		return err
+	}
+	p.meter = meter
+	r.phys = p
+	return nil
+}
+
+// physicsFleet assembles the physics-enabled fleet tier. It returns an error
+// when a scenario invariant or the ledger audit fails, with the filled
+// result for diagnosis.
+func physicsFleet(cfg FleetConfig) (FleetResult, error) {
 	ph := cfg.Physics
 	ph.defaults()
-	res := FleetResult{Devices: cfg.Devices, Shards: cfg.Shards, Producers: cfg.Producers, PhysicsOn: true}
+	s := cfg.scenario()
+	env := s.env
 
-	env := sim.NewEnv(cfg.Seed)
-	mesh := backhaul.NewMesh(env, time.Millisecond)
-	epoch := time.Date(2020, 4, 29, 0, 0, 0, 0, time.UTC)
-	wall := func() time.Time { return epoch.Add(env.Now()) }
-	trueWall := func(simNow time.Duration) time.Time { return epoch.Add(simNow) }
-	supply := 5 * units.Volt
-
-	// Build the fleet: pack + physics plane + sensor chain per device.
-	drain := energy.Constant{I: units.MilliampsToCurrent(ph.DrainMilliamps)}
-	devices := make([]*physDevice, cfg.Devices)
-	maxDevCurrent := units.MilliampsToCurrent(ph.DrainMilliamps * 4)
-	for i := range devices {
-		d := &physDevice{
-			id:     fmt.Sprintf("phys-dev-%05d", i),
-			idx:    i,
-			cohort: i % cohortCount,
-			est:    timesync.NewEstimator(1),
-		}
-		var harvest energy.Profile
-		initial := 0.7
-		switch d.cohort {
-		case cohortSolar:
-			// Dawn at t=0: harvest rises from zero through the first "day".
-			harvest = energy.Sine{
-				Mean:      units.MilliampsToCurrent(ph.SolarMilliamps),
-				Amplitude: units.MilliampsToCurrent(ph.SolarMilliamps),
-				Period:    ph.SolarPeriod,
-				Phase:     -3.14159265358979 / 2,
-			}
-		case cohortShed:
-			harvest = energy.Constant{I: units.MilliampsToCurrent(ph.TrickleMilliamps)}
-			// Stagger the cohort across the shed band so transitions are
-			// spread over the run instead of synchronized.
-			initial = 0.25 + 0.20*float64(i/cohortCount%7)/7
-		case cohortDrift:
-			// Clock trouble, not power trouble: harvest covers the drain so
-			// the cohort stays up while its RTC misbehaves.
-			harvest = energy.Constant{I: units.MilliampsToCurrent(ph.DrainMilliamps + 20)}
-			initial = 1.0
-		}
-		pack := energy.NewPack(ph.CapacityWh, initial, supply, drain, harvest)
-		d.phys = device.NewPhysics(pack)
-		d.phys.SampleCost = ph.SampleCost
-		d.phys.TxCost = ph.TxCost
-		d.phys.RetryCost = ph.RetryCost
-		d.phys.ShedFactor = ph.ShedFactor
-		d.phys.TrueWall = trueWall
-
-		d.rtc = sensor.NewDS3231(sensor.DS3231Config{Seed: cfg.Seed ^ uint64(i)<<8, Epoch: epoch, Now: env.Now})
-		d.rtc.SetTime(epoch) // clear OSF; drift accumulates from here
-		if d.cohort == cohortDrift {
-			d.rtc.DriftPPM = ph.DriftPPM
-		}
-		d.phys.RTC = d.rtc
-
-		bus := sensor.NewBus()
-		ina := sensor.NewINA219(packLoad{pack: pack, now: env.Now, v: supply},
-			sensor.INA219Config{Seed: cfg.Seed ^ uint64(i)*0x9e3779b97f4a7c15, Now: env.Now})
-		if err := bus.Attach(sensor.AddrINA219Default, ina); err != nil {
-			return res, err
-		}
-		meter, err := sensor.NewMeter(bus, sensor.AddrINA219Default, maxDevCurrent, 0.1)
-		if err != nil {
-			return res, err
-		}
-		d.meter = meter
-		d.nextSync = ph.SyncInterval
-		devices[i] = d
-	}
-
-	// Feeder head over the true fleet draw, calibrated like the legacy
-	// driver: shunt sized so the INA219 calibration register stays in range
-	// at 4x headroom.
-	maxExpected := units.Current(int64(units.MilliampsToCurrent(ph.DrainMilliamps)) * int64(cfg.Devices) * 4)
-	feederShuntOhms := 0.04096 / (maxExpected.Amps() / 32768 * 60000)
-	headBus := sensor.NewBus()
-	headINA := sensor.NewINA219(&fleetPhysLoad{devs: devices, now: env.Now, v: supply},
-		sensor.INA219Config{Seed: cfg.Seed, ShuntOhms: feederShuntOhms})
-	if err := headBus.Attach(sensor.AddrINA219Default, headINA); err != nil {
-		return res, err
-	}
-	headMeter, err := sensor.NewMeter(headBus, sensor.AddrINA219Default, maxExpected, feederShuntOhms)
-	if err != nil {
-		return res, err
-	}
-
-	signer, err := blockchain.NewSigner("phys-agg")
-	if err != nil {
-		return res, err
-	}
-	auth := blockchain.NewAuthority()
-	if err := auth.Admit("phys-agg", signer.Public()); err != nil {
-		return res, err
-	}
-	chain := blockchain.NewChain(auth)
-
-	pitch := (100 * time.Millisecond) / time.Duration(cfg.Devices+1)
-	if pitch < 5*time.Nanosecond {
-		pitch = 5 * time.Nanosecond
-	}
-	slots := tdma.Config{Superframe: 100 * time.Millisecond, SlotLen: pitch * 4 / 5, Guard: pitch / 5}
-	if slots.Guard <= 0 {
-		slots.Guard = 1 * time.Nanosecond
-		slots.SlotLen = pitch - 1*time.Nanosecond
-	}
-
-	byID := make(map[string]*physDevice, cfg.Devices)
-	for _, d := range devices {
-		byID[d.id] = d
-	}
-	var acks atomic.Uint64
-	agg, err := aggregator.New(aggregator.Config{
-		ID:               "phys-agg",
-		Env:              env,
-		HeadMeter:        headMeter,
-		WallClock:        wall,
-		Mesh:             mesh,
-		Chain:            chain,
-		Signer:           signer,
+	// Feeder head over the true fleet draw at 4x headroom.
+	rig, err := cfg.addRig(s, clusterRigConfig{
+		HeadLoad:         fleetPhysLoad{s},
+		MaxExpected:      units.MilliampsToCurrent(ph.DrainMilliamps) * units.Current(cfg.Devices) * 4,
 		MaxTimestampSkew: ph.DriftBound,
-		SendToDevice: func(devID string, msg protocol.Message) error {
-			if ack, ok := msg.(protocol.ReportAck); ok {
-				acks.Add(1)
-				// The ack lands inline on the goroutine that delivered the
-				// report (or the sim thread during a churn flush), which is
-				// the device's owner either way — a plain write is safe.
-				if d, ok := byID[devID]; ok && ack.Seq > d.lastAck {
-					d.lastAck = ack.Seq
-				}
-			}
-			return nil
-		},
-		Slots:             slots,
-		Shards:            cfg.Shards,
-		MaxPendingRecords: cfg.MaxPendingRecords,
-		Registry:          cfg.Registry,
-		Tracer:            cfg.Tracer,
 	})
 	if err != nil {
-		return res, err
+		return FleetResult{PhysicsOn: true}, err
 	}
-
-	deviceShard := make([]int, cfg.Devices)
-	for i, d := range devices {
-		deviceShard[i] = agg.ShardIndex(d.id)
-		agg.HandleDeviceMessage(d.id, protocol.Register{DeviceID: d.id})
+	agg := rig.reps[0].agg
+	if err := cfg.registerStandalone(s, "phys", func(r *reporter) error {
+		if err := ph.attach(s, r); err != nil {
+			return err
+		}
+		agg.HandleDeviceMessage(r.id, protocol.Register{DeviceID: r.id})
 		// Mirror shed transitions into the schedule from here on. The hook
 		// fires on whichever goroutine advances the physics plane; the
 		// aggregator call is mutex-guarded.
-		dd := d
-		d.phys.OnModeChange = func(from, to device.PhysicsMode) {
+		r.phys.plane.OnModeChange = func(from, to device.PhysicsMode) {
 			switch to {
 			case device.PhysicsShed:
-				_ = agg.SetDutyCycle(dd.id, ph.ShedFactor)
+				_ = agg.SetDutyCycle(r.id, ph.ShedFactor)
 			case device.PhysicsNormal:
-				_ = agg.SetDutyCycle(dd.id, 1)
+				_ = agg.SetDutyCycle(r.id, 1)
 			}
 		}
-	}
-	env.RunUntil(env.Now() + 50*time.Millisecond)
-	if got := len(agg.Members()); got != cfg.Devices {
-		return res, fmt.Errorf("physics fleet: %d of %d devices admitted", got, cfg.Devices)
-	}
-
-	assign := FleetAssign(deviceShard, cfg.Shards, cfg.Producers)
-	rngs := make([]*sim.RNG, cfg.Producers)
-	for p := range rngs {
-		rngs[p] = sim.NewRNG(cfg.Seed ^ uint64(p+1)*0x9e3779b97f4a7c15)
+		return nil
+	}); err != nil {
+		return FleetResult{PhysicsOn: true}, err
 	}
 
-	server := timesync.NewServer(wall)
+	s.sample = func(r *reporter, now time.Duration) (protocol.Measurement, bool) {
+		p := r.phys
+		mode := p.plane.AdvanceTo(now)
+		if mode == device.PhysicsBrownedOut {
+			// Rails down: no sample, no radio. The seq counter does not
+			// advance, so the outage is a freshness gap, never a ledger gap.
+			p.brownedOut++
+			return protocol.Measurement{}, false
+		}
+		interval := tickInterval
+		if mode == device.PhysicsShed {
+			// Coarser Tmeasure: sample every ShedFactor-th tick, staggered
+			// by device index.
+			if (int(now/tickInterval)+r.idx)%ph.ShedFactor != 0 {
+				p.shedSkipped++
+				return protocol.Measurement{}, false
+			}
+			interval *= time.Duration(ph.ShedFactor)
+		}
+		rd, err := p.meter.Read()
+		if err != nil || rd.Overflow {
+			return protocol.Measurement{}, false
+		}
+		p.plane.ConsumeSample()
+		return protocol.Measurement{Timestamp: p.rtc.Now(), Interval: interval, Current: rd.Current, Voltage: rd.Bus}, true
+	}
+
+	server := timesync.NewServer(func() time.Time { return scenarioEpoch.Add(env.Now()) })
 	syncBand := ph.DriftBound / 4
-
 	// Solar-cohort median SoC extremes across window boundaries — the
 	// diurnal swing the scenario check asserts.
 	swingMin, swingMax := 1.0, 0.0
 	var maxAbsSkew time.Duration
+	var resyncs uint64
 
-	boundary := func() {
+	// catchUp is the per-boundary physics pass (driver thread): advance
+	// every plane, record the fleet series, run due timesync exchanges.
+	catchUp := func() {
 		now := env.Now()
 		socs := make([]float64, 0, cfg.Devices)
 		solar := make([]float64, 0, cfg.Devices/cohortCount+1)
 		brownedNow := 0
-		for _, d := range devices {
-			d.phys.AdvanceTo(now)
-			soc := d.phys.SoC()
+		for _, r := range s.reporters {
+			p := r.phys
+			p.plane.AdvanceTo(now)
+			soc := p.plane.SoC()
 			socs = append(socs, soc)
-			if d.cohort == cohortSolar {
+			if p.cohort == cohortSolar {
 				solar = append(solar, soc)
 			}
-			if d.phys.Mode() == device.PhysicsBrownedOut {
+			if p.plane.Mode() == device.PhysicsBrownedOut {
 				brownedNow++
 			}
-			if skew := d.phys.Skew(now); skew.Abs() > maxAbsSkew {
+			if skew := p.plane.Skew(now); skew.Abs() > maxAbsSkew {
 				maxAbsSkew = skew.Abs()
 			}
 			// Periodic timesync: the four-timestamp exchange against the
 			// aggregator's reference clock, disciplined through the
 			// estimator. In-bound clocks fall inside the deadband and are
 			// left alone; the drift cohort gets stepped back.
-			if now >= d.nextSync {
-				d.nextSync = now + ph.SyncInterval
-				t1 := d.rtc.Now()
-				s := timesync.Complete(server.Handle(timesync.Request{T1: t1}), d.rtc.Now())
-				if d.est.Add(s) {
-					if corr, err := timesync.Discipline(rtcClock{d.rtc}, d.est, syncBand); err == nil && corr != 0 {
-						res.Resyncs++
+			if now >= p.nextSync {
+				p.nextSync = now + ph.SyncInterval
+				t1 := p.rtc.Now()
+				sample := timesync.Complete(server.Handle(timesync.Request{T1: t1}), p.rtc.Now())
+				if p.est.Add(sample) {
+					if corr, err := timesync.Discipline(rtcClock{p.rtc}, p.est, syncBand); err == nil && corr != 0 {
+						resyncs++
 					}
 				}
 			}
@@ -418,245 +347,88 @@ func runPhysicsFleet(cfg FleetConfig) (FleetResult, error) {
 		sort.Float64s(solar)
 		if len(solar) > 0 {
 			med := solar[len(solar)/2]
-			if med < swingMin {
-				swingMin = med
-			}
-			if med > swingMax {
-				swingMax = med
-			}
+			swingMin, swingMax = min(swingMin, med), max(swingMax, med)
 		}
-		if cfg.Registry != nil && len(socs) > 0 {
-			cfg.Registry.Series("fleet.soc_p10", 4096).Append(now, socs[len(socs)/10])
-			cfg.Registry.Series("fleet.soc_p50", 4096).Append(now, socs[len(socs)/2])
-			cfg.Registry.Series("fleet.browned_out", 4096).Append(now, float64(brownedNow))
-			cfg.Registry.Series("fleet.clock_skew_us", 4096).Append(now, float64(maxAbsSkew.Microseconds()))
+		if reg := cfg.Registry; reg != nil && len(socs) > 0 {
+			reg.Series("fleet.soc_p10", 4096).Append(now, socs[len(socs)/10])
+			reg.Series("fleet.soc_p50", 4096).Append(now, socs[len(socs)/2])
+			reg.Series("fleet.browned_out", 4096).Append(now, float64(brownedNow))
+			reg.Series("fleet.clock_skew_us", 4096).Append(now, float64(maxAbsSkew.Microseconds()))
 		}
 	}
 
-	// flush drains a device's unacked tail as buffered store-and-forward
-	// data over a reliable control-plane exchange — the graceful-detach
-	// half of a churn event. Buffered data bypasses the skew gate, so even
-	// a drifted device's held-back measurements land and are acked.
-	flush := func(d *physDevice) {
-		if len(d.unacked) == 0 {
-			return
-		}
-		batch := make([]protocol.Measurement, 0, len(d.unacked))
-		for _, u := range d.unacked {
-			u.Buffered = true
-			batch = append(batch, u)
-		}
-		agg.HandleDeviceMessage(d.id, protocol.Report{DeviceID: d.id, Measurements: batch})
-		res.BufferedDelivered += uint64(len(batch))
-		keep := d.unacked[:0]
-		for _, u := range d.unacked {
-			if u.Seq > d.lastAck {
-				keep = append(keep, u)
+	// Window boundary: physics catch-up, telemetry, timesync, then
+	// membership churn with a graceful detach-flush so the audit invariant
+	// survives the frontier reset that re-registration causes.
+	s.afterBoundary = func(int) {
+		catchUp()
+		s.churn(cfg.ChurnPerWindow, func(r *reporter) bool {
+			if r.phys.plane.Mode() == device.PhysicsBrownedOut {
+				return false // a dead node cannot detach gracefully; skip it
 			}
-		}
-		d.unacked = keep
+			s.flush(r)
+			agg.RemoveDevice(r.id)
+			agg.HandleDeviceMessage(r.id, protocol.Register{DeviceID: r.id})
+			if r.phys.plane.Mode() == device.PhysicsShed {
+				_ = agg.SetDutyCycle(r.id, ph.ShedFactor)
+			}
+			return true
+		})
 	}
-
-	var delivered, uplost, acklost atomic.Uint64
-	var bufferedTail atomic.Uint64
-	var lastLost uint64
-	churnCursor := 0
-	start := env.Now()
-	for sec := 0; sec < cfg.Seconds; sec++ {
-		for tick := 0; tick < 10; tick++ {
-			simNow := env.Now()
-			ingestStart := time.Now()
-			var wg sync.WaitGroup
-			for p := 0; p < cfg.Producers; p++ {
-				if len(assign[p]) == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					rng := rngs[p]
-					for _, di := range assign[p] {
-						d := devices[di]
-						mode := d.phys.AdvanceTo(simNow)
-						if mode == device.PhysicsBrownedOut {
-							// Rails down: no sample, no radio. The seq
-							// counter does not advance, so the outage is a
-							// freshness gap, never a ledger gap.
-							d.brownedOut++
-							continue
-						}
-						if mode == device.PhysicsShed {
-							// Coarser Tmeasure: sample every ShedFactor-th
-							// tick, staggered by device index.
-							if (int(simNow/(100*time.Millisecond))+d.idx)%ph.ShedFactor != 0 {
-								d.shedSkipped++
-								continue
-							}
-						}
-						r, err := d.meter.Read()
-						if err != nil || r.Overflow {
-							continue
-						}
-						d.phys.ConsumeSample()
-						d.seq++
-						interval := 100 * time.Millisecond
-						if mode == device.PhysicsShed {
-							interval *= time.Duration(ph.ShedFactor)
-						}
-						m := protocol.Measurement{
-							Seq:       d.seq,
-							Timestamp: d.rtc.Now(),
-							Interval:  interval,
-							Current:   r.Current,
-							Voltage:   r.Bus,
-						}
-						// The unacked tail retransmits marked buffered: it
-						// describes past intervals and must stay out of the
-						// live window sums and the skew gate wherever it
-						// lands.
-						batch := make([]protocol.Measurement, 0, 1+len(d.unacked))
-						batch = append(batch, m)
-						for _, u := range d.unacked {
-							u.Buffered = true
-							batch = append(batch, u)
-						}
-						d.unacked = append(d.unacked, m)
-						if rng.Bool(cfg.LossRate) {
-							uplost.Add(1)
-							d.phys.ConsumeRetry() // failed burst still costs
-							continue
-						}
-						if cfg.Tracer.Sample() {
-							cfg.Tracer.Begin(d.id)
-						}
-						d.phys.ConsumeTx()
-						agg.HandleDeviceMessage(d.id, protocol.Report{DeviceID: d.id, Measurements: batch})
-						delivered.Add(1)
-						if len(batch) > 1 {
-							bufferedTail.Add(uint64(len(batch) - 1))
-						}
-						if rng.Bool(cfg.LossRate) {
-							acklost.Add(1)
-							continue // ack lost: the tail retransmits; dedup absorbs it
-						}
-						keep := d.unacked[:0]
-						for _, u := range d.unacked {
-							if u.Seq > d.lastAck {
-								keep = append(keep, u)
-							}
-						}
-						d.unacked = keep
-					}
-				}(p)
-			}
-			wg.Wait()
-			res.IngestElapsed += time.Since(ingestStart)
-			env.RunUntil(start + time.Duration(sec)*time.Second + time.Duration(tick+1)*100*time.Millisecond)
-		}
-
-		// Window boundary (sim thread): physics catch-up, telemetry,
-		// timesync, then membership churn with a graceful detach-flush so
-		// the audit invariant survives the frontier reset that
-		// re-registration causes.
-		boundary()
-		churned := 0
-		for scan := 0; churned < cfg.ChurnPerWindow && scan < cfg.Devices; scan++ {
-			d := devices[churnCursor%cfg.Devices]
-			churnCursor++
-			if d.phys.Mode() == device.PhysicsBrownedOut {
-				continue // a dead node cannot detach gracefully; skip it
-			}
-			flush(d)
-			agg.RemoveDevice(d.id)
-			agg.HandleDeviceMessage(d.id, protocol.Register{DeviceID: d.id})
-			if d.phys.Mode() == device.PhysicsShed {
-				_ = agg.SetDutyCycle(d.id, ph.ShedFactor)
-			}
-			churned++
-			res.ChurnEvents++
-		}
-		if cfg.Registry != nil {
-			lost := uplost.Load() + acklost.Load()
-			cfg.Registry.Series("fleet.window_loss", 4096).Append(env.Now(), float64(lost-lastLost))
-			lastLost = lost
-		}
-		env.RunUntil(env.Now() + 10*time.Millisecond) // settle churn round-trips
+	if err := s.run(); err != nil {
+		return FleetResult{PhysicsOn: true}, err
 	}
 
 	// Final convergence: one last discipline pass, drain every tail, and
 	// run past a window close so the backlog seals before the audit.
-	for _, d := range devices {
-		d.nextSync = 0
+	for _, r := range s.reporters {
+		r.phys.nextSync = 0
 	}
-	boundary()
-	for _, d := range devices {
-		flush(d)
+	catchUp()
+	for _, r := range s.reporters {
+		s.flush(r)
 	}
 	env.RunUntil(env.Now() + time.Second + 101*time.Millisecond)
-	agg.Stop()
+	rig.stop()
 
-	res.ReportsDelivered = delivered.Load()
-	res.UplinksLost = uplost.Load()
-	res.AcksLost = acklost.Load()
-	res.AcksReceived = acks.Load()
-	res.BufferedDelivered += bufferedTail.Load()
-	accepted, _, sealed := agg.Stats()
-	res.MeasurementsAccepted = accepted
-	res.BlocksSealed = sealed
-	res.RecordsSealed = chain.TotalRecords()
-	res.RecordsDropped = agg.DroppedRecords()
+	res := s.fleetResult(cfg)
+	res.PhysicsOn = true
+	res.AcksReceived = s.acksReceived()
+	res.ChurnEvents = s.churnEvents
+	res.BufferedDelivered = s.bufferedTail
 	res.Quarantined = agg.QuarantinedMeasurements()
-	for _, w := range agg.Windows() {
-		res.WindowsClosed++
-		ok := 0.0
-		if w.Verdict.OK {
-			res.WindowsOK++
-			ok = 1
-		} else {
-			res.WindowsFlagged++
-		}
-		if cfg.Registry != nil {
-			cfg.Registry.Series("fleet.window_ok", 4096).Append(w.Start, ok)
-		}
-	}
-	if res.IngestElapsed > 0 {
-		res.IngestPerSec = float64(res.ReportsDelivered) / res.IngestElapsed.Seconds()
-	}
+	res.Resyncs = resyncs
+	res.SolarSwing = swingMax - swingMin
+	res.MaxAbsSkew = maxAbsSkew
 
 	// Cohort outcome accounting.
 	var solarBrownouts uint64
 	var driftAckStuck int
-	for _, d := range devices {
-		b, r, s, _ := d.phys.Stats()
+	for _, r := range s.reporters {
+		b, rec, sh, _ := r.phys.plane.Stats()
 		res.Brownouts += b
-		res.BrownoutRecoveries += r
-		res.ShedTransitions += s
-		res.ShedSkippedTicks += d.shedSkipped
-		res.BrownedOutTicks += d.brownedOut
-		if d.cohort == cohortSolar {
+		res.BrownoutRecoveries += rec
+		res.ShedTransitions += sh
+		res.ShedSkippedTicks += r.phys.shedSkipped
+		res.BrownedOutTicks += r.phys.brownedOut
+		if r.phys.cohort == cohortSolar {
 			solarBrownouts += b
 		}
-		if d.cohort == cohortDrift && d.seq > 0 && d.lastAck == 0 {
+		if r.phys.cohort == cohortDrift && r.seq > 0 && r.lastAck == 0 {
 			driftAckStuck++
 		}
 	}
-	res.SolarSwing = swingMax - swingMin
-	res.MaxAbsSkew = maxAbsSkew
-	if cfg.Registry != nil {
-		cfg.Registry.Counter("physics.brownouts").AddInt(res.Brownouts)
-		cfg.Registry.Counter("physics.recoveries").AddInt(res.BrownoutRecoveries)
-		cfg.Registry.Counter("physics.sheds").AddInt(res.ShedTransitions)
-		cfg.Registry.Counter("physics.resyncs").AddInt(res.Resyncs)
-		cfg.Registry.Counter("physics.quarantined").AddInt(res.Quarantined)
+	if reg := cfg.Registry; reg != nil {
+		reg.Counter("physics.brownouts").AddInt(res.Brownouts)
+		reg.Counter("physics.recoveries").AddInt(res.BrownoutRecoveries)
+		reg.Counter("physics.sheds").AddInt(res.ShedTransitions)
+		reg.Counter("physics.resyncs").AddInt(res.Resyncs)
+		reg.Counter("physics.quarantined").AddInt(res.Quarantined)
 	}
 
 	// The audit gate: every acknowledged measurement is on the ledger
 	// exactly once, physics or no physics.
-	ackedMap := make(map[string]uint64, len(devices))
-	for _, d := range devices {
-		ackedMap[d.id] = d.lastAck
-	}
-	res.RecordsLost, res.RecordsDuplicated = auditLedger(chain, ackedMap)
+	res.RecordsLost, res.RecordsDuplicated = s.audit()
 
 	// Scenario checks.
 	switch {

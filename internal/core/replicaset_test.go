@@ -30,7 +30,7 @@ func readAndVerify(path string) (blocks int, err error) {
 
 // replicatedSystem builds a 4-network system with two devices per network
 // and replication enabled (n=4, f=1).
-func replicatedSystem(t *testing.T) (*System, *ReplicaSet, []string) {
+func replicatedSystem(t *testing.T) (*System, *Cluster, []string) {
 	t.Helper()
 	p := DefaultParams()
 	p.APSpacing = 25 // failover steering needs radio overlap with neighbours
@@ -50,7 +50,7 @@ func replicatedSystem(t *testing.T) (*System, *ReplicaSet, []string) {
 			}
 		}
 	}
-	rs, err := sys.EnableReplication(ReplicaSetConfig{F: 1})
+	rs, err := sys.EnableReplication(ClusterConfig{F: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

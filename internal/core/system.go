@@ -166,13 +166,13 @@ func (s *System) AddNetwork(id string, channel int) (*Network, error) {
 	return n, nil
 }
 
-// EnableReplication turns the system's aggregators into a ReplicaSet: from
+// EnableReplication turns the system's aggregators into a Cluster: from
 // now on verified window batches seal through consensus onto per-replica
 // chains (the shared s.Chain stops growing — read the ledger via
-// ReplicaSet.ChainOf), crashes fail devices over to live networks, and the
+// Cluster.ChainOf), crashes fail devices over to live networks, and the
 // orchestrator rebalances TDMA occupancy. Call it after AddNetwork and
 // before Run.
-func (s *System) EnableReplication(cfg ReplicaSetConfig) (*ReplicaSet, error) {
+func (s *System) EnableReplication(cfg ClusterConfig) (*Cluster, error) {
 	if len(s.networks) < 2 {
 		return nil, errors.New("core: replication needs at least 2 networks")
 	}
@@ -194,7 +194,7 @@ func (s *System) EnableReplication(cfg ReplicaSetConfig) (*ReplicaSet, error) {
 		members = append(members, ReplicaMember{ID: id, Agg: net.Aggregator, Signer: net.Signer})
 	}
 	epoch := s.epoch
-	rs, err := NewReplicaSet(s.Env, s.Auth,
+	rs, err := NewCluster(s.Env, s.Auth,
 		func() time.Time { return epoch.Add(s.Env.Now()) }, cfg, members)
 	if err != nil {
 		return nil, err

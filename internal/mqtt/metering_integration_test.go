@@ -129,7 +129,9 @@ func TestMeteringOverRealMQTT(t *testing.T) {
 			case protocol.RegisterAck:
 				ds.registered = true
 			case protocol.ReportAck:
-				ds.acked = m.Seq
+				// Acks are published from unordered goroutines: keep the
+				// highest, not the last to land.
+				ds.acked = max(ds.acked, m.Seq)
 			case protocol.ReportNack:
 				ds.nacked = true
 			}

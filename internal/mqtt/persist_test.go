@@ -333,6 +333,18 @@ func TestSessionJournalCheckpointBounds(t *testing.T) {
 		}
 	}
 	<-done
+	// The subscriber has written its PUBACKs, but the broker may not have
+	// read them all yet; Close would drop the connection with the rest in
+	// the socket buffer and the final snapshot would rightly carry them as
+	// inflight rows. Wait for the session's outbound set to drain first.
+	waitFor(t, "every PUBACK processed", func() bool {
+		b.mu.Lock()
+		s := b.sessions["meter-ckpt"]
+		b.mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.outbound) == 0
+	})
 	waitFor(t, "a checkpoint", func() bool { return checkpoints.Value() >= 1 })
 	if err := b.Close(); err != nil {
 		t.Fatal(err)

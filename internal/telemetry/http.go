@@ -16,25 +16,6 @@ import (
 	"time"
 )
 
-// Handler serves the registry over HTTP:
-//
-//	GET /metrics                             -> Snapshot JSON
-//	GET /metrics?format=prometheus           -> Prometheus text exposition
-//	GET /series                              -> ["name", ...]
-//	GET /series/query?name=N[&from=ns&to=ns] -> [{t_ns, v}, ...]
-//
-// Malformed from/to values are a client error (400), not an open window.
-func (r *Registry) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", r.serveMetrics)
-	mux.HandleFunc("/series", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(r.SeriesNames())
-	})
-	mux.HandleFunc("/series/query", r.serveSeriesQuery)
-	return mux
-}
-
 func (r *Registry) serveMetrics(w http.ResponseWriter, req *http.Request) {
 	format := req.URL.Query().Get("format")
 	if format == "prometheus" || strings.Contains(req.Header.Get("Accept"), "text/plain") {
@@ -191,7 +172,14 @@ func (h *Health) Handler() http.Handler {
 	})
 }
 
-// NewMux assembles the full -telemetry surface: the registry endpoints,
+// NewMux assembles the full -telemetry surface: the registry endpoints
+//
+//	GET /metrics                             -> Snapshot JSON
+//	GET /metrics?format=prometheus           -> Prometheus text exposition
+//	GET /series                              -> ["name", ...]
+//	GET /series/query?name=N[&from=ns&to=ns] -> [{t_ns, v}, ...]
+//
+// (malformed from/to values are a client error (400), not an open window),
 // /trace/spans (when a tracer is given), /healthz (when a health set is
 // given; absent checks still answer 200), and net/http/pprof under
 // /debug/pprof/. Nil registry serves an empty one.

@@ -36,7 +36,7 @@ func TestHandlerRoutes(t *testing.T) {
 	s := r.Series("net1.ma", 16)
 	s.Append(time.Second, 80)
 	s.Append(2*time.Second, 85)
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(NewMux(r, nil, nil))
 	defer srv.Close()
 
 	code, body := get(t, srv.URL+"/metrics")
@@ -96,7 +96,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	h := r.Histogram("trace.stage.window_close_us", []float64{100, 1000})
 	h.Observe(50)
 	h.Observe(500)
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(NewMux(r, nil, nil))
 	defer srv.Close()
 
 	code, body := get(t, srv.URL+"/metrics?format=prometheus")

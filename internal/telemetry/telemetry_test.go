@@ -146,7 +146,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	s := r.Series("net1.current_ma", 100)
 	s.Append(time.Second, 80)
 	s.Append(2*time.Second, 85)
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(NewMux(r, nil, nil))
 	defer srv.Close()
 
 	// /metrics
