@@ -1,30 +1,34 @@
 // Command meterd runs one aggregator as a real network service: an embedded
-// MQTT 3.1.1 broker plus the registration / report / blockchain pipeline,
-// mirroring the Raspberry Pi aggregators of the paper's testbed.
+// MQTT 3.1.1 broker in front of the same aggregator.Aggregator the simulator
+// hosts, here on the process clock (sim.Wall), mirroring the Raspberry Pi
+// aggregators of the paper's testbed.
 //
 //	meterd -id agg1 -addr :1883 -chain agg1.chain -shards 8
 //
 // Devices (cmd/devicesim or real firmware speaking the protocol envelopes)
 // connect over TCP, publish protocol.Register to meters/agg1/register and
-// reports to meters/agg1/<device>/report, and receive grants and acks on
-// meters/agg1/<device>/control. Verified records seal into a block every
-// -block interval and persist to the -chain file on shutdown (and
-// periodically), where chainctl can verify them.
+// reports to meters/agg1/<device>/report, and receive grants, acks and nacks
+// on meters/agg1/<device>/control. The daemon decodes each publish and hands
+// it to the aggregator, whose downlink is a broker publish. Admission into
+// -slots TDMA slots of one -tmeasure superframe, sequence tracking, the
+// -shards ingest shards, the verification window closed every -block
+// interval and the bounded seal backlog are the aggregator's. Each window's
+// records seal into a block, and the chain persists to the -chain file on
+// shutdown, where chainctl can verify it.
 //
-// Report ingest is sharded: devices hash onto -shards ingest shards, each
-// owning its members' sequence tracking and pending-record batch under its
-// own lock, so concurrent broker sessions publishing for different shards
-// never contend. The seal loop merges the per-shard batches into one block.
+// Two inputs the simulator gives an aggregator are absent here, and the
+// daemon says so. It has no feeder-head meter: no sum check runs, every
+// window is reported "unverified: no head meter" (start-up log line,
+// <id>.sum_check_enabled = 0). It has no backhaul peer: a device naming a
+// foreign home aggregator is refused ("home ... unreachable"), not admitted
+// unverified. The timestamp-skew quarantine stays off, as load generators
+// and replayed traces stamp measurements with their own epoch.
 //
-// With -replicas N (N > 1) the ledger itself is replicated: every sealed
-// batch runs through an in-process PBFT-style consensus cluster, the
-// current leader pre-seals the block, and N chain replicas import the
-// byte-identical result. The seal loop is pipelined: an oversized backlog
-// is split into up to -pipeline chunks kept in flight simultaneously
-// (speculatively chained by header hash), and each replica group-commits
-// the decided blocks onto its chain in one batch import. Shutdown persists
-// all copies (-chain plus -chain.r1 .. -chain.r(N-1)); chainctl verify
-// passes on each.
+// With -replicas N (N > 1) the ledger itself is replicated: every window's
+// batch runs through an in-process PBFT-style consensus cluster, pipelined
+// up to -pipeline proposals deep, onto N byte-identical chain replicas (see
+// repSealer). Shutdown persists all copies (-chain plus -chain.r1 ..
+// -chain.r(N-1)); chainctl verify passes on each.
 package main
 
 import (
@@ -42,40 +46,23 @@ import (
 	"time"
 
 	"decentmeter/internal/aggregator"
+	"decentmeter/internal/backhaul"
 	"decentmeter/internal/blockchain"
 	"decentmeter/internal/consensus"
 	"decentmeter/internal/mqtt"
 	"decentmeter/internal/protocol"
 	"decentmeter/internal/sim"
+	"decentmeter/internal/tdma"
 	"decentmeter/internal/telemetry"
 )
 
-// maxSealBacklog caps records retained across failing seals; beyond it the
-// oldest are dropped (recency matters most for billing reconciliation).
-const maxSealBacklog = 1 << 18
-
 type server struct {
-	id       string
-	broker   *mqtt.Broker
-	signer   *blockchain.Signer
-	tmeasure time.Duration
-
-	// shards own the report path; admitMu covers admission bookkeeping
-	// (slot budget and slot numbering) only.
-	shards  []*ingestShard
-	admitMu sync.Mutex
-	slots   int
-	maxSlot int
-	members atomic.Int64
-
-	// sealMu covers the chain and the merged backlog.
-	sealMu  sync.Mutex
-	chain   *blockchain.Chain
-	backlog []blockchain.Record
-	dropped uint64
-	// rep, when -replicas > 1, seals through an in-process consensus
-	// cluster onto N chain replicas instead of a single local chain.
-	rep *repSealer
+	broker *mqtt.Broker
+	agg    *aggregator.Aggregator
+	// chain is the ledger the aggregator seals onto: its own, or replica 0's
+	// copy when rep (-replicas > 1) seals through consensus onto N replicas.
+	chain *blockchain.Chain
+	rep   *repSealer
 
 	chainPath string
 	logger    *log.Logger
@@ -85,41 +72,19 @@ type server struct {
 	registerTopic     string
 	deviceTopicPrefix string
 
-	// Observability plane (all nil/zero without -telemetry): the registry
-	// feeds /metrics and /series, the tracer samples report journeys for
+	// Observability plane (all nil without -telemetry): the registry feeds
+	// /metrics and /series, the tracer samples report journeys for
 	// /trace/spans, and health backs /healthz.
-	reg        *telemetry.Registry
-	tracer     *telemetry.Tracer
-	health     *telemetry.Health
-	mIngested  *telemetry.ShardedCounter
-	mNacked    *telemetry.Counter
-	mMembers   *telemetry.Gauge
-	mBacklog   *telemetry.Gauge
-	mBlocks    *telemetry.Counter
-	mDropped   *telemetry.Counter
-	blockEvery time.Duration
-	startedAt  time.Time
-	// lastSealTick is the unix-nano stamp of the latest mergeAndSeal entry
-	// — the window-grid liveness signal for /healthz.
-	lastSealTick atomic.Int64
-}
-
-type member struct {
-	kind    protocol.MembershipKind
-	home    string
-	slot    int
-	lastSeq uint64
-}
-
-// ingestShard owns the members that hash to it and their pending records.
-type ingestShard struct {
-	mu      sync.Mutex
-	members map[string]*member
-	pending []blockchain.Record
-}
-
-func (s *server) shardFor(deviceID string) *ingestShard {
-	return s.shards[aggregator.ShardOf(deviceID, len(s.shards))]
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
+	health *telemetry.Health
+	// lastClose is the unix-nano stamp of the latest window close (of the
+	// start, before the first): /healthz's window-grid liveness signal.
+	lastClose atomic.Int64
+	// windows counts the closed windows that had reporters, flagged the
+	// non-OK ones among them. onWindow writes them under the aggregator's
+	// control-plane lock; persist reads them after its own CloseWindow.
+	windows, flagged uint64
 }
 
 // repSealer replicates the daemon's ledger: N consensus replicas agree on
@@ -130,9 +95,9 @@ func (s *server) shardFor(deviceID string) *ingestShard {
 // into up to `window` chunks proposed back-to-back (each chunk's header
 // speculatively chained to the hash of the previous in-flight one), and the
 // decided blocks land on each replica's chain through one group-committed
-// ImportBatch instead of per-block imports. All methods run under the
-// server's sealMu, so the embedded DES (which exists only to drive the
-// consensus message exchange) is single-threaded.
+// ImportBatch instead of per-block imports. seal runs as the aggregator's
+// seal hook, under its control-plane lock, so the embedded DES (which exists
+// only to drive the consensus message exchange) is single-threaded.
 type repSealer struct {
 	env     *sim.Env
 	cluster *consensus.Cluster
@@ -222,8 +187,7 @@ func (r *repSealer) flush() {
 	}
 }
 
-// seal runs one backlog through the pipelined consensus; the caller holds
-// sealMu.
+// seal runs one backlog through the pipelined consensus.
 func (r *repSealer) seal(at time.Time, records []blockchain.Record) error {
 	leaderID := r.cluster.Leader(r.cluster.CurrentView())
 	leader := r.cluster.Replicas[leaderID]
@@ -315,14 +279,8 @@ type daemonConfig struct {
 }
 
 func newServer(cfg daemonConfig) (*server, error) {
-	if cfg.Logger == nil {
-		cfg.Logger = log.New(os.Stderr, "meterd ", log.LstdFlags|log.Lmsgprefix)
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	if cfg.BlockEvery <= 0 {
-		cfg.BlockEvery = time.Second
+	if cfg.Slots < 1 || time.Duration(cfg.Slots) > cfg.Tmeasure {
+		return nil, fmt.Errorf("%d slots do not fit a %v superframe", cfg.Slots, cfg.Tmeasure)
 	}
 	signer, err := blockchain.NewSigner(cfg.ID)
 	if err != nil {
@@ -333,54 +291,32 @@ func newServer(cfg daemonConfig) (*server, error) {
 		return nil, err
 	}
 	s := &server{
-		id:                cfg.ID,
 		chain:             blockchain.NewChain(auth),
-		signer:            signer,
-		tmeasure:          cfg.Tmeasure,
-		shards:            make([]*ingestShard, cfg.Shards),
-		slots:             cfg.Slots,
 		chainPath:         cfg.ChainPath,
 		logger:            cfg.Logger,
 		registerTopic:     protocol.RegisterTopic(cfg.ID),
 		deviceTopicPrefix: "meters/" + cfg.ID + "/",
-		blockEvery:        cfg.BlockEvery,
-		startedAt:         time.Now(),
 	}
+	s.lastClose.Store(time.Now().UnixNano())
 	if cfg.Telemetry {
 		s.reg = telemetry.NewRegistry()
 		s.tracer = telemetry.NewTracer(s.reg, cfg.TraceEvery)
-		s.mIngested = s.reg.ShardedCounter(cfg.ID + ".reports_ingested")
-		s.mNacked = s.reg.Counter(cfg.ID + ".reports_nacked")
-		s.mMembers = s.reg.Gauge(cfg.ID + ".members")
-		s.mBacklog = s.reg.Gauge(cfg.ID + ".seal_backlog")
-		s.mBlocks = s.reg.Counter(cfg.ID + ".blocks")
-		s.mDropped = s.reg.Counter(cfg.ID + ".records_dropped")
 		s.health = telemetry.NewHealth()
-		// Window-grid liveness: the seal ticker must have fired recently
-		// (3 block intervals of grace, never under 3 s for tight -block).
+		// Window-grid liveness: the aggregator must have closed a window
+		// recently (3 block intervals of grace, never under 3 s for tight
+		// -block).
+		grace := max(3*cfg.BlockEvery, 3*time.Second)
 		s.health.Register("window_grid", func() error {
-			grace := 3 * s.blockEvery
-			if grace < 3*time.Second {
-				grace = 3 * time.Second
-			}
-			last := s.lastSealTick.Load()
-			ref := s.startedAt
-			if last != 0 {
-				ref = time.Unix(0, last)
-			}
-			if age := time.Since(ref); age > grace {
-				return fmt.Errorf("no seal tick for %v (grid interval %v)", age.Round(time.Millisecond), s.blockEvery)
+			if age := time.Since(time.Unix(0, s.lastClose.Load())); age > grace {
+				return fmt.Errorf("no window close for %v (grid interval %v)", age.Round(time.Millisecond), cfg.BlockEvery)
 			}
 			return nil
 		})
 		// Seal-backlog state: a backlog pinned at the drop-oldest cap means
 		// sealing cannot keep up and records are being discarded.
 		s.health.Register("seal_backlog", func() error {
-			s.sealMu.Lock()
-			n, dropped := len(s.backlog), s.dropped
-			s.sealMu.Unlock()
-			if n >= maxSealBacklog {
-				return fmt.Errorf("seal backlog full (%d records, %d dropped)", n, dropped)
+			if n := s.agg.PendingRecords(); n >= aggregator.DefaultMaxPendingRecords {
+				return fmt.Errorf("seal backlog full (%d records, %d dropped)", n, s.agg.DroppedRecords())
 			}
 			return nil
 		})
@@ -391,14 +327,9 @@ func newServer(cfg daemonConfig) (*server, error) {
 			return nil, err
 		}
 		s.rep = rep
-		// The "server chain" becomes replica 0's copy, so persistence and
-		// logging keep working unchanged.
 		s.chain = rep.chains[rep.ids[0]]
 		cfg.Logger.Printf("replicated sealing: %d chain replicas, pipeline depth %d, consensus leader %s",
 			cfg.Replicas, rep.window, rep.cluster.Leader(0))
-	}
-	for i := range s.shards {
-		s.shards[i] = &ingestShard{members: make(map[string]*member)}
 	}
 	broker, err := mqtt.NewBroker(mqtt.BrokerOptions{
 		Logger:      cfg.Logger,
@@ -418,6 +349,33 @@ func newServer(cfg daemonConfig) (*server, error) {
 			return s.broker.SessionJournalErr()
 		})
 	}
+	// New starts the window ticker, so the aggregator is built last. It has
+	// no HeadMeter and is alone on its mesh (see the package comment).
+	pitch := cfg.Tmeasure / time.Duration(cfg.Slots)
+	s.agg, err = aggregator.New(aggregator.Config{
+		ID:             cfg.ID,
+		Env:            sim.NewWall(),
+		WallClock:      time.Now,
+		Mesh:           backhaul.NewMesh(sim.NewEnv(1), 0),
+		Chain:          s.chain,
+		Signer:         signer,
+		SendToDevice:   s.sendControlAsync,
+		Tmeasure:       cfg.Tmeasure,
+		WindowInterval: cfg.BlockEvery,
+		Slots:          tdma.Config{Superframe: cfg.Tmeasure, SlotLen: pitch * 4 / 5, Guard: pitch - pitch*4/5},
+		Shards:         cfg.Shards,
+		Registry:       s.reg,
+		Tracer:         s.tracer,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.agg.SetWindowSink(s.onWindow)
+	if s.rep != nil {
+		s.agg.SetSeal(s.sealReplicated)
+	}
+	cfg.Logger.Printf("no feeder-head meter: sum check disabled, windows are reported unverified; " +
+		"no backhaul peer: devices naming a foreign home are refused")
 	return s, nil
 }
 
@@ -439,35 +397,25 @@ func (s *server) serveTelemetry(addr string) (net.Listener, error) {
 }
 
 func main() {
-	id := flag.String("id", "agg1", "aggregator identity")
+	var cfg daemonConfig
+	flag.StringVar(&cfg.ID, "id", "agg1", "aggregator identity")
 	addr := flag.String("addr", ":1883", "MQTT listen address")
-	chainPath := flag.String("chain", "meterd.chain", "blockchain file")
-	tmeasure := flag.Duration("tmeasure", 100*time.Millisecond, "mandated reporting interval")
-	blockEvery := flag.Duration("block", time.Second, "block sealing interval")
-	slots := flag.Int("slots", 40, "TDMA slot budget (device admission limit)")
-	shards := flag.Int("shards", 1, "report ingest shards (device-hash partitions)")
-	replicas := flag.Int("replicas", 1, "chain replicas sealing via in-process consensus\n(1 = plain local sealing; N > 1 writes -chain plus -chain.r1..r(N-1), all byte-identical)")
-	pipeline := flag.Int("pipeline", 4, "consensus-seal pipeline depth: proposals kept in flight\nwhen the replicated seal loop splits an oversized backlog")
+	flag.StringVar(&cfg.ChainPath, "chain", "meterd.chain", "blockchain file")
+	flag.DurationVar(&cfg.Tmeasure, "tmeasure", 100*time.Millisecond, "mandated reporting interval")
+	flag.DurationVar(&cfg.BlockEvery, "block", time.Second, "verification window and block sealing interval")
+	flag.IntVar(&cfg.Slots, "slots", 40, "TDMA slot budget (device admission limit)")
+	flag.IntVar(&cfg.Shards, "shards", 1, "report ingest shards (device-hash partitions)")
+	flag.IntVar(&cfg.Replicas, "replicas", 1, "chain replicas sealing via in-process consensus\n(1 = plain local sealing; N > 1 writes -chain plus -chain.r1..r(N-1), all byte-identical)")
+	flag.IntVar(&cfg.Pipeline, "pipeline", 4, "consensus-seal pipeline depth: proposals kept in flight\nwhen the replicated seal loop splits an oversized backlog")
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /series, /trace/spans, /healthz and /debug/pprof/\non this address (e.g. :9090); empty disables the observability plane")
-	traceEvery := flag.Int("trace-every", 0, "sample one report journey in every N publishes (0 = default 256)")
-	sessionPath := flag.String("session", "", "durable MQTT session journal file; a restarted daemon resumes\npersistent sessions from it (empty disables session durability)")
+	flag.IntVar(&cfg.TraceEvery, "trace-every", 0, "sample one report journey in every N publishes (0 = default 256)")
+	flag.StringVar(&cfg.SessionPath, "session", "", "durable MQTT session journal file; a restarted daemon resumes\npersistent sessions from it (empty disables session durability)")
 	flag.Parse()
+	cfg.Telemetry = *telemetryAddr != ""
 
 	logger := log.New(os.Stderr, "meterd ", log.LstdFlags|log.Lmsgprefix)
-	s, err := newServer(daemonConfig{
-		ID:          *id,
-		ChainPath:   *chainPath,
-		Tmeasure:    *tmeasure,
-		BlockEvery:  *blockEvery,
-		Slots:       *slots,
-		Shards:      *shards,
-		Replicas:    *replicas,
-		Pipeline:    *pipeline,
-		SessionPath: *sessionPath,
-		Telemetry:   *telemetryAddr != "",
-		TraceEvery:  *traceEvery,
-		Logger:      logger,
-	})
+	cfg.Logger = logger
+	s, err := newServer(cfg)
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -478,8 +426,6 @@ func main() {
 		}
 		logger.Printf("telemetry on http://%s (metrics, series, trace spans, healthz, pprof)", ln.Addr())
 	}
-
-	go s.sealLoop(*blockEvery)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -492,7 +438,7 @@ func main() {
 	}()
 
 	logger.Printf("aggregator %s listening on %s (Tmeasure=%v, %d slots, %d shards)",
-		*id, *addr, *tmeasure, *slots, *shards)
+		cfg.ID, *addr, cfg.Tmeasure, cfg.Slots, cfg.Shards)
 	if err := s.broker.ListenAndServe(*addr); err != nil {
 		logger.Fatal(err)
 	}
@@ -513,7 +459,7 @@ func (s *server) onPublish(topic string, payload []byte) {
 			return
 		}
 		if reg, ok := msg.(protocol.Register); ok {
-			s.handleRegister(reg)
+			s.agg.HandleDeviceMessage(reg.DeviceID, msg)
 		}
 	case len(topic) > len(s.deviceTopicPrefix)+len(reportSuffix) &&
 		strings.HasPrefix(topic, s.deviceTopicPrefix) &&
@@ -536,231 +482,63 @@ func (s *server) onPublish(topic string, payload []byte) {
 			return
 		}
 		if rep, ok := msg.(protocol.Report); ok {
-			s.handleReport(rep)
+			s.agg.HandleDeviceMessage(rep.DeviceID, msg)
 		}
 	}
 }
 
-func (s *server) sendControl(deviceID string, msg protocol.Message) {
-	payload, err := protocol.Encode(msg)
-	if err != nil {
-		s.logger.Printf("encode control: %v", err)
-		return
-	}
-	topic := protocol.ControlTopic(s.id, deviceID)
-	if err := s.broker.Publish(topic, payload, mqtt.QoS1, false); err != nil {
-		s.logger.Printf("publish control: %v", err)
-	}
-}
-
-// sendControlAsync publishes off the caller's lock (the broker has its own
-// locking and may call back into OnPublish).
-func (s *server) sendControlAsync(deviceID string, msg protocol.Message) {
-	go s.sendControl(deviceID, msg)
-}
-
-func (s *server) handleRegister(reg protocol.Register) {
-	sh := s.shardFor(reg.DeviceID)
-	sh.mu.Lock()
-	if m, ok := sh.members[reg.DeviceID]; ok {
-		ack := protocol.RegisterAck{
-			DeviceID: reg.DeviceID, Kind: m.kind, AggregatorID: s.id,
-			Slot: m.slot, Tmeasure: s.tmeasure,
-		}
-		sh.mu.Unlock()
-		s.sendControlAsync(reg.DeviceID, ack)
-		return
-	}
-	sh.mu.Unlock()
-
-	s.admitMu.Lock()
-	if int(s.members.Load()) >= s.slots {
-		s.admitMu.Unlock()
-		s.sendControlAsync(reg.DeviceID, protocol.RegisterNack{
-			DeviceID: reg.DeviceID, Reason: "no free time-slots",
-		})
-		return
-	}
-	slot := s.maxSlot
-	s.maxSlot++
-	s.members.Add(1)
-	s.admitMu.Unlock()
-	if s.mMembers != nil {
-		s.mMembers.Set(float64(s.members.Load()))
-	}
-
-	kind := protocol.MemberMaster
-	home := s.id
-	if reg.MasterAddr != "" && reg.MasterAddr != s.id {
-		// Standalone daemon: no backhaul peer to verify with, so
-		// roaming devices are admitted as temporary cost centres and
-		// flagged in the log. Multi-aggregator deployments federate
-		// through the simulation harness or a shared broker.
-		kind = protocol.MemberTemporary
-		home = reg.MasterAddr
-		s.logger.Printf("temporary membership for %s (home %s)", reg.DeviceID, home)
-	}
-	m := &member{kind: kind, home: home, slot: slot}
-	sh.mu.Lock()
-	if _, ok := sh.members[reg.DeviceID]; ok {
-		// Lost a registration race; release the slot budget we took.
-		m = sh.members[reg.DeviceID]
-		sh.mu.Unlock()
-		s.members.Add(-1)
-		if s.mMembers != nil {
-			s.mMembers.Set(float64(s.members.Load()))
-		}
-	} else {
-		sh.members[reg.DeviceID] = m
-		sh.mu.Unlock()
-		s.logger.Printf("registered %s (%s, slot %d)", reg.DeviceID, kind, m.slot)
-	}
-	s.sendControlAsync(reg.DeviceID, protocol.RegisterAck{
-		DeviceID: reg.DeviceID, Kind: m.kind, AggregatorID: s.id,
-		Slot: m.slot, Tmeasure: s.tmeasure,
-	})
-}
-
-func (s *server) handleReport(rep protocol.Report) {
-	si := aggregator.ShardOf(rep.DeviceID, len(s.shards))
-	sh := s.shards[si]
-	traced := s.tracer.Active()
-	var ingestStart time.Time
-	if traced {
-		ingestStart = time.Now()
-	}
-	sh.mu.Lock()
-	m, ok := sh.members[rep.DeviceID]
-	if !ok {
-		sh.mu.Unlock()
-		if s.mNacked != nil {
-			s.mNacked.Inc()
-		}
-		s.sendControlAsync(rep.DeviceID, protocol.ReportNack{
-			DeviceID: rep.DeviceID, Seq: aggregator.MaxSeq(rep.Measurements), Reason: "not a member",
-		})
-		return
-	}
-	// Ingest everything beyond the pre-batch high-water mark, then
-	// acknowledge and advance by the batch maximum: an unsorted batch
-	// (buffered tail) must not drop interior measurements or ack a stale
-	// seq that would force needless retransmission.
-	prev := m.lastSeq
-	var maxSeq uint64
-	accepted := 0
-	for _, meas := range rep.Measurements {
-		if meas.Seq > maxSeq {
-			maxSeq = meas.Seq
-		}
-		if meas.Seq <= prev {
-			continue
-		}
-		accepted++
-		sh.pending = append(sh.pending, blockchain.Record{
-			DeviceID:       rep.DeviceID,
-			Seq:            meas.Seq,
-			HomeAggregator: m.home,
-			ReportedVia:    s.id,
-			Timestamp:      meas.Timestamp,
-			Interval:       meas.Interval,
-			Current:        meas.Current,
-			Voltage:        meas.Voltage,
-			Energy:         meas.Energy,
-			Buffered:       meas.Buffered,
-		})
-	}
-	if maxSeq > m.lastSeq {
-		m.lastSeq = maxSeq
-	}
-	sh.mu.Unlock()
-	if s.mIngested != nil && accepted > 0 {
-		s.mIngested.Add(si, uint64(accepted))
-	}
-	if traced {
-		s.tracer.ObserveStage(telemetry.StageShardIngest, ingestStart, time.Since(ingestStart))
-	}
-	if len(rep.Measurements) > 0 {
-		s.sendControlAsync(rep.DeviceID, protocol.ReportAck{
-			DeviceID: rep.DeviceID,
-			Seq:      maxSeq,
-		})
-	}
-}
-
-// mergeAndSeal folds the per-shard batches into the backlog and seals one
-// block; on failure the backlog is retained, bounded by maxSealBacklog with
-// drop-oldest.
-func (s *server) mergeAndSeal(at time.Time) {
-	s.lastSealTick.Store(time.Now().UnixNano())
-	s.sealMu.Lock()
-	defer s.sealMu.Unlock()
-	instrumented := s.reg != nil || s.tracer != nil
-	var closeStart time.Time
-	if instrumented {
-		closeStart = time.Now()
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.backlog = append(s.backlog, sh.pending...)
-		sh.pending = sh.pending[:0]
-		sh.mu.Unlock()
-	}
-	if over := len(s.backlog) - maxSealBacklog; over > 0 {
-		copy(s.backlog, s.backlog[over:])
-		s.backlog = s.backlog[:maxSealBacklog]
-		s.dropped += uint64(over)
-		if s.mDropped != nil {
-			s.mDropped.AddInt(uint64(over))
-		}
-		s.logger.Printf("seal backlog full: dropped %d oldest records (%d total)", over, s.dropped)
-	}
-	if s.mBacklog != nil {
-		defer func() { s.mBacklog.Set(float64(len(s.backlog))) }()
-	}
-	// The merge is the daemon's window close: it always feeds the stage
-	// histogram, and a sampled journey records it before the terminal seal.
-	if instrumented {
-		s.tracer.ObserveStage(telemetry.StageWindowClose, closeStart, time.Since(closeStart))
-	}
-	if len(s.backlog) == 0 {
-		return
-	}
-	blocksBefore := s.chain.Length()
-	var sealStart time.Time
-	if instrumented {
-		sealStart = time.Now()
-	}
-	if s.rep != nil {
-		if err := s.rep.seal(at, s.backlog); err != nil {
-			s.logger.Printf("replicated seal: %v (%d records retained)", err, len(s.backlog))
+// sendControlAsync is the aggregator's downlink. It publishes off the
+// caller's lock (the broker has its own locking and may call back into
+// OnPublish), so a failed delivery is logged, not returned.
+func (s *server) sendControlAsync(deviceID string, msg protocol.Message) error {
+	go func() {
+		payload, err := protocol.Encode(msg)
+		if err != nil {
+			s.logger.Printf("encode control: %v", err)
 			return
 		}
-	} else if _, err := s.chain.Seal(s.signer, at, s.backlog); err != nil {
-		s.logger.Printf("seal: %v (%d records retained)", err, len(s.backlog))
-		return
-	}
-	if instrumented {
-		// Terminal journey stage: completes and retires sampled journeys.
-		s.tracer.ObserveStage(telemetry.StageSealAttach, sealStart, time.Since(sealStart))
-	}
-	if s.mBlocks != nil {
-		s.mBlocks.AddInt(uint64(s.chain.Length() - blocksBefore))
-	}
-	s.backlog = s.backlog[:0]
+		if err := s.broker.Publish(protocol.ControlTopic(s.agg.ID(), deviceID), payload, mqtt.QoS1, false); err != nil {
+			s.logger.Printf("publish control: %v", err)
+		}
+	}()
+	return nil
 }
 
-func (s *server) sealLoop(every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for range t.C {
-		s.mergeAndSeal(time.Now())
+// onWindow is the aggregator's window sink: it runs at every window close,
+// feeds the window-grid liveness check and accounts for the windows that had
+// reporters, so the aggregator retains none.
+func (s *server) onWindow(w aggregator.WindowReport) {
+	s.lastClose.Store(time.Now().UnixNano())
+	if len(w.PerDevice) == 0 && w.Ground == 0 && w.Quarantined == 0 {
+		return // idle grid tick
+	}
+	s.windows++
+	if !w.Verdict.OK {
+		s.flagged++
+		s.logger.Printf("window at %v FLAGGED (%s): ground %v, reported %v, culprit %q, %d quarantined",
+			w.Start, w.Verdict.Reason, w.Ground, w.Reported, w.Culprit, w.Quarantined)
 	}
 }
 
+// sealReplicated is the aggregator's seal hook under -replicas. With a hook
+// installed the aggregator leaves the terminal journey stage to the hook's
+// owner, so it is observed here.
+func (s *server) sealReplicated(records []blockchain.Record) error {
+	start := time.Now()
+	if err := s.rep.seal(start, records); err != nil {
+		s.logger.Printf("replicated seal: %v (%d records retained)", err, len(records))
+		return err
+	}
+	s.tracer.ObserveStage(telemetry.StageSealAttach, start, time.Since(start))
+	return nil
+}
+
+// persist stops the window ticker, closes the last partial window so its
+// records are sealed, and writes the chain files.
 func (s *server) persist() {
-	s.mergeAndSeal(time.Now())
-	s.sealMu.Lock()
-	defer s.sealMu.Unlock()
+	s.agg.Stop()
+	s.agg.CloseWindow()
+	s.logger.Printf("%d windows closed with reporters, %d flagged", s.windows, s.flagged)
 	if s.chain.Length() == 0 {
 		return
 	}

@@ -103,8 +103,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// One seal tick: merges the shards and drives the 3-replica consensus.
-	s.mergeAndSeal(time.Now())
+	// One window close: merges the shards and drives the 3-replica consensus.
+	s.agg.CloseWindow()
 	if got := s.chain.Length(); got < 1 {
 		t.Fatalf("chain has %d blocks after seal", got)
 	}
@@ -146,6 +146,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if got := snap.Gauges["e2e.members"]; got != 1 {
 		t.Errorf("gauge e2e.members = %v, want 1", got)
 	}
+	// The daemon has no head meter, and its metrics say so.
+	if got, ok := snap.Gauges["e2e.sum_check_enabled"]; !ok || got != 0 {
+		t.Errorf("gauge e2e.sum_check_enabled = %v (present %v), want 0", got, ok)
+	}
 	if h, ok := snap.Histograms["trace.stage.shard_ingest_us"]; !ok || h.Count < reports {
 		t.Errorf("trace.stage.shard_ingest_us count = %+v, want >= %d observations", h, reports)
 	}
@@ -176,12 +180,12 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	complete := 0
 	for _, j := range trace.Journeys {
-		if j.Complete && len(j.Spans) > 0 {
+		if j.Complete && len(j.Spans) > 0 && j.Spans[len(j.Spans)-1].Stage == "seal_attach" {
 			complete++
 		}
 	}
 	if complete == 0 {
-		t.Errorf("no complete journey in %d sampled", len(trace.Journeys))
+		t.Errorf("no complete journey ending in seal_attach in %d sampled", len(trace.Journeys))
 	}
 	for _, stage := range []string{"broker_fanout", "device_uplink", "shard_ingest", "window_close", "consensus_decide", "seal_attach"} {
 		if trace.Stages[stage].Count == 0 {
@@ -189,7 +193,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /healthz: the seal tick just ran and the backlog is drained.
+	// /healthz: a window just closed and the backlog is drained.
 	code, body = get("/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("/healthz: HTTP %d (%s)", code, body)

@@ -11,7 +11,7 @@
 // Devices hash onto Config.Shards ingest shards (FNV-1a on the device ID).
 // Each shard owns its members' sequence tracking, window accumulation and
 // pending-record batch under its own lock, so the report path never takes a
-// cross-shard or aggregator-wide lock; closeWindow is the merge step that
+// cross-shard or aggregator-wide lock; CloseWindow is the merge step that
 // folds the per-shard partials into one WindowReport and one sealed block.
 // Shards = 1 reproduces the original single-state-machine semantics.
 //
@@ -101,13 +101,38 @@ type WindowReport struct {
 // in.
 const DefaultMaxPendingRecords = 1 << 18
 
+// Scheduler is the timing seam: exactly the calls the aggregator makes on
+// its clock. *sim.Env satisfies it in virtual time (the test suite, every
+// fleet scenario) and *sim.Wall on the process clock (cmd/meterd), where
+// registrations and reports arrive from concurrent broker sessions and the
+// window close runs on the ticker's goroutine. Pause and Resume (crash
+// injection) remain DES facilities and expect a single control goroutine.
+type Scheduler interface {
+	Now() sim.Time
+	Ticker(period sim.Time, fn func(sim.Time)) (stop func())
+	Schedule(d sim.Time, fn func()) sim.EventRef
+	Cancel(r sim.EventRef) bool
+}
+
+// unverifiedReason is the verdict reason of a window closed without a head
+// meter.
+const unverifiedReason = "unverified: no head meter"
+
+// seriesPointBudget is the total of per-device series points an aggregator
+// retains (the testbed's 40 slots at 100000 points each); a device's cap is
+// its share of the slot budget, so the total is fixed at any slot count.
+const seriesPointBudget = 40 * 100000
+
 // Config assembles an aggregator.
 type Config struct {
 	// ID is the aggregator identity (AP SSID, mesh address, producer ID).
 	ID string
 	// Env drives timing.
-	Env *sim.Env
+	Env Scheduler
 	// HeadMeter reads the feeder-head INA219 (system-level measurement).
+	// Nil means the deployment has none: no ground is sampled and no sum
+	// check runs; every WindowReport says so (Verdict.OK, reason
+	// "unverified: no head meter"), as does "<ID>.sum_check_enabled" = 0.
 	HeadMeter *sensor.Meter
 	// WallClock stamps blocks.
 	WallClock func() time.Time
@@ -124,8 +149,6 @@ type Config struct {
 	// WindowInterval is the verification/metering window (default 1 s,
 	// the granularity of Fig. 5's bars).
 	WindowInterval time.Duration
-	// BlockInterval paces chain sealing (default = WindowInterval).
-	BlockInterval time.Duration
 	// Slots configures TDMA admission (default tdma.DefaultConfig).
 	Slots tdma.Config
 	// SumCheck configures the complementary-measurement verification.
@@ -176,11 +199,13 @@ type Aggregator struct {
 	windowStart   time.Duration
 	groundSamples []units.Current
 	windows       []WindowReport
+	// windowSink (SetWindowSink) takes each closed window; windows stays empty.
+	windowSink func(WindowReport)
 	// backlog holds merged records awaiting a successful Chain.Seal,
 	// bounded by MaxPendingRecords with drop-oldest overflow.
 	backlog     boundedRecords
 	sealScratch []blockchain.Record
-	// sealFn, when set (SetSeal), replaces local Chain.Seal: closeWindow
+	// sealFn, when set (SetSeal), replaces local Chain.Seal: CloseWindow
 	// hands the merged window records to it instead — the hook of the
 	// replicated tier, which runs them through consensus.
 	sealFn func(records []blockchain.Record) error
@@ -235,12 +260,13 @@ type pendingReg struct {
 }
 
 // New builds and starts an aggregator: it joins the mesh, starts sampling
-// its head meter at Tmeasure and sealing blocks at BlockInterval.
+// its head meter (when it has one) at Tmeasure and closing a verification
+// window — which seals that window's records — every WindowInterval.
 func New(cfg Config) (*Aggregator, error) {
 	if cfg.ID == "" {
 		return nil, errors.New("aggregator: requires an ID")
 	}
-	if cfg.Env == nil || cfg.HeadMeter == nil || cfg.Mesh == nil ||
+	if cfg.Env == nil || cfg.Mesh == nil ||
 		cfg.Chain == nil || cfg.Signer == nil || cfg.SendToDevice == nil {
 		return nil, errors.New("aggregator: missing required component")
 	}
@@ -252,9 +278,6 @@ func New(cfg Config) (*Aggregator, error) {
 	}
 	if cfg.WindowInterval <= 0 {
 		cfg.WindowInterval = time.Second
-	}
-	if cfg.BlockInterval <= 0 {
-		cfg.BlockInterval = cfg.WindowInterval
 	}
 	if cfg.Slots.Superframe == 0 {
 		cfg.Slots = tdma.DefaultConfig()
@@ -297,21 +320,23 @@ func New(cfg Config) (*Aggregator, error) {
 		a.mQuar = cfg.Registry.Counter(cfg.ID + ".drift_quarantined")
 		a.mPending = cfg.Registry.Gauge(cfg.ID + ".pending_records")
 		a.mWindowUs = cfg.Registry.Histogram(cfg.ID+".window_close_us", windowCloseBoundsUs)
+		if g := cfg.Registry.Gauge(cfg.ID + ".sum_check_enabled"); cfg.HeadMeter != nil {
+			g.Set(1) // without one the gauge is registered all the same, at 0
+		}
 	}
 	if err := cfg.Mesh.Join(cfg.ID, a.handleBackhaul); err != nil {
 		return nil, err
 	}
 	a.windowStart = cfg.Env.Now()
-	a.stopSampling = cfg.Env.Ticker(cfg.Tmeasure, func(sim.Time) { a.sampleGround() })
-	a.stopSealing = cfg.Env.Ticker(cfg.WindowInterval, func(sim.Time) { a.closeWindow() })
+	if cfg.HeadMeter != nil {
+		a.stopSampling = cfg.Env.Ticker(cfg.Tmeasure, func(sim.Time) { a.sampleGround() })
+	}
+	a.stopSealing = cfg.Env.Ticker(cfg.WindowInterval, func(sim.Time) { a.CloseWindow() })
 	return a, nil
 }
 
 // ID returns the aggregator identity.
 func (a *Aggregator) ID() string { return a.cfg.ID }
-
-// ShardCount returns the number of ingest shards.
-func (a *Aggregator) ShardCount() int { return len(a.shards) }
 
 // ShardIndex returns the ingest shard a device hashes onto. Fleet drivers
 // use it to give producers shard affinity.
@@ -349,11 +374,23 @@ func (a *Aggregator) Member(deviceID string) (Membership, bool) {
 	return st.Membership, true
 }
 
-// Windows returns the completed verification windows.
+// Windows returns the completed verification windows retained so far (none
+// once a window sink is installed).
 func (a *Aggregator) Windows() []WindowReport {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return append([]WindowReport(nil), a.windows...)
+}
+
+// SetWindowSink hands every window close to fn instead of retaining a
+// WindowReport per window, which bounds a long-running host. fn also sees
+// the closes Windows() skips (an idle grid tick: no reporter, ground or
+// quarantine, zero Verdict), so it is the host's grid liveness signal too.
+// fn runs under the control-plane lock: it must not call the aggregator.
+func (a *Aggregator) SetWindowSink(fn func(WindowReport)) {
+	a.mu.Lock()
+	a.windowSink = fn
+	a.mu.Unlock()
 }
 
 // Stats returns (reportsAccepted, reportsNacked, blocksSealed).
@@ -442,9 +479,12 @@ func (a *Aggregator) Resume() {
 	// instant, the (empty) window close precedes the ground sample — the
 	// same-order steady state the constructor's tickers produce.
 	a.resumeSeal = a.cfg.Env.Schedule(gridWait(now, a.cfg.WindowInterval), func() {
-		a.closeWindow()
-		a.stopSealing = a.cfg.Env.Ticker(a.cfg.WindowInterval, func(sim.Time) { a.closeWindow() })
+		a.CloseWindow()
+		a.stopSealing = a.cfg.Env.Ticker(a.cfg.WindowInterval, func(sim.Time) { a.CloseWindow() })
 	})
+	if a.cfg.HeadMeter == nil {
+		return
+	}
 	a.resumeSample = a.cfg.Env.Schedule(gridWait(now, a.cfg.Tmeasure), func() {
 		a.sampleGround()
 		a.stopSampling = a.cfg.Env.Ticker(a.cfg.Tmeasure, func(sim.Time) { a.sampleGround() })
@@ -460,7 +500,7 @@ func gridWait(now, period time.Duration) time.Duration {
 	return (period - now%period) % period
 }
 
-// SetSeal overrides local Chain.Seal: when fn is non-nil, closeWindow hands
+// SetSeal overrides local Chain.Seal: when fn is non-nil, CloseWindow hands
 // each window's merged records to it and treats a nil return as "sealed"
 // (the records now belong to fn — it must copy what it keeps, the slice is
 // scratch). A non-nil return keeps the records in the bounded backlog for
@@ -550,6 +590,15 @@ func (a *Aggregator) meshSend(to string, msg protocol.Message) error {
 // admit grants a membership and a slot.
 func (a *Aggregator) admit(deviceID string, kind protocol.MembershipKind, home string) {
 	mem, err := a.grant(deviceID, kind, home, false)
+	if errors.Is(err, tdma.ErrAlreadyOwner) {
+		// Lost a registration race (two sessions, or a QoS 1 redelivery,
+		// both missed Member before either was granted): the device is
+		// admitted, so answer with the membership the winner installed.
+		if cur, ok := a.Member(deviceID); ok {
+			a.sendAck(cur)
+			return
+		}
+	}
 	if err != nil {
 		_ = a.cfg.SendToDevice(deviceID, protocol.RegisterNack{
 			DeviceID: deviceID,
@@ -617,9 +666,11 @@ func (a *Aggregator) SyncSeq(deviceID string, seq uint64) {
 // grant assigns a slot and installs the shard state shared by admit and
 // AdmitGuest.
 func (a *Aggregator) grant(deviceID string, kind protocol.MembershipKind, home string, foreignFeeder bool) (Membership, error) {
+	// Slot and shard entry go in under one hold of mu, so a concurrent grant
+	// that fails with ErrAlreadyOwner finds the membership in place.
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	slot, err := a.sched.Assign(deviceID)
-	a.mu.Unlock()
 	if err != nil {
 		return Membership{}, err
 	}
@@ -632,13 +683,10 @@ func (a *Aggregator) grant(deviceID string, kind protocol.MembershipKind, home s
 		ForeignFeeder: foreignFeeder,
 	}}
 	if a.cfg.Registry != nil {
-		st.series = a.cfg.Registry.Series(a.cfg.ID+".device."+deviceID+".ma", 100000)
+		st.series = a.cfg.Registry.Series(a.cfg.ID+".device."+deviceID+".ma", seriesPointBudget/a.sched.Capacity())
 	}
 	sh := a.shardFor(deviceID)
 	sh.mu.Lock()
-	// A concurrent duplicate admission is impossible here: a device still
-	// present in the shard also still owns its slot, so the Assign above
-	// would have failed with ErrAlreadyOwner.
 	sh.devices[deviceID] = st
 	sh.mu.Unlock()
 	a.memberCount.Add(1)
@@ -659,12 +707,11 @@ func (a *Aggregator) sendAck(m Membership) {
 	})
 }
 
-// MaxSeq returns the highest sequence in a batch. Batches are usually
+// batchMaxSeq returns the highest sequence in a batch. Batches are usually
 // sorted, but a retransmission whose buffered tail carries older seqs must
 // still be acknowledged (and the high-water mark advanced) by its maximum,
-// not its last element. Exported so other ingest frontends (cmd/meterd)
-// apply the same rule.
-func MaxSeq(ms []protocol.Measurement) uint64 {
+// not its last element.
+func batchMaxSeq(ms []protocol.Measurement) uint64 {
 	var max uint64
 	for _, m := range ms {
 		if m.Seq > max {
@@ -698,7 +745,7 @@ func (a *Aggregator) onReport(m protocol.Report) {
 		}
 		_ = a.cfg.SendToDevice(m.DeviceID, protocol.ReportNack{
 			DeviceID: m.DeviceID,
-			Seq:      MaxSeq(m.Measurements),
+			Seq:      batchMaxSeq(m.Measurements),
 			Reason:   "not a member",
 		})
 		return
@@ -724,7 +771,6 @@ func (a *Aggregator) onReport(m protocol.Report) {
 	var fresh []protocol.Measurement
 	accepted := 0
 	quarantined := 0
-	var maxSeq uint64
 	// ackSeq is the contiguous-acceptance frontier: the ack may only cover
 	// seqs that were actually ingested (or already were), so a quarantined
 	// measurement halts it — the device keeps the data and retransmits it
@@ -732,9 +778,6 @@ func (a *Aggregator) onReport(m protocol.Report) {
 	ackSeq := prev
 	halted := false
 	for _, meas := range m.Measurements {
-		if meas.Seq > maxSeq {
-			maxSeq = meas.Seq
-		}
 		if meas.Seq <= prev || halted {
 			continue
 		}
@@ -873,33 +916,18 @@ func (a *Aggregator) onForwardReport(m protocol.ForwardReport) {
 	// foreign feeder, so only record it.
 	prev := st.LastSeq
 	n := 0
-	var maxSeq uint64
 	for _, meas := range m.Measurements {
-		if meas.Seq > maxSeq {
-			maxSeq = meas.Seq
-		}
 		if meas.Seq <= prev {
 			continue // duplicate forward
 		}
-		sh.pending.push(blockchain.Record{
-			DeviceID:       m.DeviceID,
-			Seq:            meas.Seq,
-			HomeAggregator: a.cfg.ID,
-			ReportedVia:    m.Via,
-			Timestamp:      meas.Timestamp,
-			Interval:       meas.Interval,
-			Current:        meas.Current,
-			Voltage:        meas.Voltage,
-			Energy:         meas.Energy,
-			Buffered:       meas.Buffered,
-		})
+		sh.pending.push(recordOf(st, meas, m.Via)) // a master's Home is this aggregator
 		n++
 		if st.series != nil {
 			st.series.Append(a.cfg.Env.Now(), meas.Current.Milliamps())
 		}
 	}
-	if maxSeq > st.LastSeq {
-		st.LastSeq = maxSeq
+	if top := batchMaxSeq(m.Measurements); top > st.LastSeq {
+		st.LastSeq = top
 	}
 	sh.mu.Unlock()
 	// On a shared ledger the forwarded measurements were already counted
@@ -945,7 +973,7 @@ func (a *Aggregator) removeMembership(deviceID string) {
 	}
 	// Preserve the device's partial window: its draw up to now is still in
 	// the feeder's groundSamples, so discarding its samples would fire a
-	// false sum-check anomaly at the next closeWindow.
+	// false sum-check anomaly at the next CloseWindow.
 	if st.winCount > 0 || st.winQuarantined > 0 {
 		acc := sh.departed[deviceID]
 		acc.sum += st.winSum
@@ -995,10 +1023,11 @@ func (a *Aggregator) sampleGround() {
 	}
 }
 
-// closeWindow merges the per-shard window partials into one WindowReport,
+// CloseWindow merges the per-shard window partials into one WindowReport,
 // runs the complementary-measurement verification, and seals a block from
-// the accumulated records.
-func (a *Aggregator) closeWindow() {
+// the accumulated records. The WindowInterval ticker calls it; a host calls
+// it once more after Stop to seal what the last partial window holds.
+func (a *Aggregator) CloseWindow() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
@@ -1076,22 +1105,20 @@ func (a *Aggregator) closeWindow() {
 			expected[dev] = acc.base
 		}
 	}
-	// Move the merged records into the bounded backlog (drop-oldest when
-	// sealing has fallen behind).
-	for _, rec := range a.sealScratch {
-		a.backlog.push(rec)
-	}
-	a.sealScratch = a.sealScratch[:0]
-	droppedDelta += a.backlog.takeDropped()
-	if droppedDelta > 0 {
-		a.recordsDropped.Add(droppedDelta)
-		if a.cfg.Registry != nil {
-			a.cfg.Registry.Counter(a.cfg.ID + ".records_dropped").Add(float64(droppedDelta))
-		}
+	// Records a failed seal left behind go first: this window's merge joins
+	// them in the bounded backlog (drop-oldest) and the whole is sealed.
+	// With nothing carried over, the merge is sealed where it lies.
+	if a.backlog.len() > 0 {
+		a.backlog.pushAll(a.sealScratch)
+		a.sealScratch = a.backlog.appendOrdered(a.sealScratch[:0])
 	}
 
-	if len(w.PerDevice) > 0 || w.Ground > 0 || w.Quarantined > 0 {
-		w.Verdict = anomaly.SumCheck(a.cfg.SumCheck, w.Ground, w.Reported)
+	reported := len(w.PerDevice) > 0 || w.Ground > 0 || w.Quarantined > 0
+	if reported {
+		w.Verdict = anomaly.Verdict{OK: true, Reason: unverifiedReason}
+		if a.cfg.HeadMeter != nil {
+			w.Verdict = anomaly.SumCheck(a.cfg.SumCheck, w.Ground, w.Reported)
+		}
 		if !w.Verdict.OK {
 			if id, _, err := anomaly.IdentifyCulprit(expected, w.PerDevice); err == nil {
 				w.Culprit = id
@@ -1109,14 +1136,21 @@ func (a *Aggregator) closeWindow() {
 				w.Culprit = quarCulprit
 			}
 		}
-		a.windows = append(a.windows, w)
 		if a.cfg.Registry != nil {
-			a.cfg.Registry.Series(a.cfg.ID+".window.ground_ma", 100000).Append(a.cfg.Env.Now(), w.Ground.Milliamps())
+			if a.cfg.HeadMeter != nil {
+				a.cfg.Registry.Series(a.cfg.ID+".window.ground_ma", 100000).Append(a.cfg.Env.Now(), w.Ground.Milliamps())
+			}
 			a.cfg.Registry.Series(a.cfg.ID+".window.reported_ma", 100000).Append(a.cfg.Env.Now(), w.Reported.Milliamps())
 			if !w.Verdict.OK {
 				a.cfg.Registry.Counter(a.cfg.ID + ".anomalies").Inc()
 			}
 		}
+	}
+	switch {
+	case a.windowSink != nil:
+		a.windowSink(w)
+	case reported:
+		a.windows = append(a.windows, w)
 	}
 
 	// The window-close stage ends at the merge+verify boundary so the seal
@@ -1129,12 +1163,10 @@ func (a *Aggregator) closeWindow() {
 		a.tracer.ObserveStage(telemetry.StageWindowClose, closeStart, dur)
 	}
 
-	// Seal the backlog ("Update Blockchain" in Fig. 3) — locally, or via
-	// the replicated tier's seal hook when one is installed. On failure the
-	// records stay buffered — bounded by MaxPendingRecords — and the next
-	// window retries.
-	if a.backlog.len() > 0 {
-		a.sealScratch = a.backlog.appendOrdered(a.sealScratch[:0])
+	// Seal ("Update Blockchain" in Fig. 3) — locally, or via the replicated
+	// tier's seal hook when one is installed. On failure the records stay
+	// buffered — bounded by MaxPendingRecords — and the next window retries.
+	if len(a.sealScratch) > 0 {
 		var err error
 		if a.sealFn != nil {
 			err = a.sealFn(a.sealScratch)
@@ -1150,13 +1182,23 @@ func (a *Aggregator) closeWindow() {
 				}
 			}
 		}
-		if err == nil {
+		switch {
+		case err == nil:
 			a.backlog.reset()
 			if a.cfg.Registry != nil {
 				a.cfg.Registry.Counter(a.cfg.ID + ".blocks").Inc()
 			}
+		case a.backlog.len() == 0:
+			a.backlog.pushAll(a.sealScratch)
 		}
 		a.sealScratch = a.sealScratch[:0]
+	}
+	droppedDelta += a.backlog.takeDropped()
+	if droppedDelta > 0 {
+		a.recordsDropped.Add(droppedDelta)
+		if a.cfg.Registry != nil {
+			a.cfg.Registry.Counter(a.cfg.ID + ".records_dropped").Add(float64(droppedDelta))
+		}
 	}
 	if a.mPending != nil {
 		a.mPending.Set(float64(a.backlog.len()))

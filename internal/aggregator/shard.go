@@ -18,12 +18,12 @@ type deviceState struct {
 	Membership
 
 	// winSum/winCount accumulate the live (non-buffered) samples of the
-	// current verification window; closeWindow folds them into the
+	// current verification window; CloseWindow folds them into the
 	// window's per-device mean and resets them.
 	winSum   int64
 	winCount int
 	// winQuarantined counts this window's live measurements rejected by
-	// the timestamp-skew gate (a drifted RTC); closeWindow folds it into
+	// the timestamp-skew gate (a drifted RTC); CloseWindow folds it into
 	// the window report and resets it. A device with only quarantined
 	// samples still joins the active list so the merge sees it.
 	winQuarantined uint64
@@ -38,7 +38,7 @@ type deviceState struct {
 // departedAccum preserves the partial window of a device that left
 // mid-window (membership removal, roam-away release, transfer), so the
 // samples it already contributed still count against the feeder measurement
-// at the next closeWindow instead of firing a false sum-check anomaly.
+// at the next CloseWindow instead of firing a false sum-check anomaly.
 type departedAccum struct {
 	sum   int64
 	count int
@@ -77,7 +77,6 @@ func newShard(maxPending int) *ingestShard {
 
 // ShardOf hashes a device ID onto one of n shards with FNV-1a, which is
 // deterministic across processes (the DES depends on reproducible runs).
-// Exported so other ingest frontends (cmd/meterd) partition identically.
 func ShardOf(deviceID string, n int) int {
 	if n <= 1 {
 		return 0
@@ -159,6 +158,12 @@ func (b *boundedRecords) push(r blockchain.Record) {
 		b.head = 0
 	}
 	b.dropped++
+}
+
+func (b *boundedRecords) pushAll(rs []blockchain.Record) {
+	for _, r := range rs {
+		b.push(r)
+	}
 }
 
 func (b *boundedRecords) len() int { return len(b.recs) }

@@ -205,7 +205,7 @@ type Cluster struct {
 	spec        specState
 	decidedSeqs uint64 // frontier: every consensus slot below it decided
 	// pump scheduling: submit defers proposing to a zero-delay event so
-	// closeWindow returns before any Merkle/ECDSA work happens.
+	// CloseWindow returns before any Merkle/ECDSA work happens.
 	pumpFn        func()
 	pumpScheduled bool
 	keyBuf        []byte // DigestRecordsInto scratch
@@ -418,7 +418,7 @@ func (rs *Cluster) ChainsIdentical() bool {
 // backlog until a later window retries.
 //
 // submit only enqueues: the Merkle/ECDSA pre-seal work runs in a zero-delay
-// pump event, so closeWindow's latency is independent of the signature cost
+// pump event, so CloseWindow's latency is independent of the signature cost
 // (the consensus-seal pipeline's whole point).
 func (rs *Cluster) submit(from string, records []blockchain.Record) error {
 	// The cap bounds queue growth, not a single batch: an empty queue

@@ -446,7 +446,7 @@ func TestReplicatedFleetScenario(t *testing.T) {
 }
 
 // TestPipelinedSealWindowDeep pins the consensus-seal pipeline's two core
-// promises: submit (the aggregators' closeWindow hook) returns without
+// promises: submit (the aggregators' CloseWindow hook) returns without
 // doing any Merkle/ECDSA pre-seal work, and the agreement queue drains
 // several batches deep in flight — all deciding in submission order onto
 // byte-identical replica chains.
@@ -477,7 +477,7 @@ func TestPipelinedSealWindowDeep(t *testing.T) {
 		}
 	}
 	// The submit path must only enqueue: pre-sealing (Merkle + ECDSA)
-	// happens in the deferred pump event, off closeWindow's stack.
+	// happens in the deferred pump event, off CloseWindow's stack.
 	if rs.proposed != proposedBefore {
 		t.Fatalf("submit proposed synchronously (%d -> %d in-flight)", proposedBefore, rs.proposed)
 	}
