@@ -1,6 +1,6 @@
 // Command chainctl inspects and verifies metering blockchain files (the
-// binary block log of blockchain.WriteFile) written by meterd or
-// cmd/experiments. The files are not text: show and device are how a person
+// binary block log meterd appends to block by block, and
+// blockchain.WriteFile writes for cmd/experiments). The files are not text: show and device are how a person
 // reads one.
 //
 //	chainctl verify  agg1.chain             # full integrity check
@@ -134,7 +134,10 @@ func device(path, id string) error {
 	if err != nil {
 		return err
 	}
-	recs := c.RecordsOf(id)
+	recs, err := c.RecordsOf(id)
+	if err != nil {
+		return err
+	}
 	if len(recs) == 0 {
 		return fmt.Errorf("no records for device %q", id)
 	}

@@ -13,8 +13,11 @@
 // -slots TDMA slots of one -tmeasure superframe, sequence tracking, the
 // -shards ingest shards, the verification window closed every -block
 // interval and the bounded seal backlog are the aggregator's. Each window's
-// records seal into a block, and the chain persists to the -chain file on
-// shutdown, where chainctl can verify it.
+// records seal into a block that is appended to the -chain file and synced
+// before the window close returns; the daemon then keeps only the block's
+// header, so its memory does not grow with the ledger. chainctl verifies the
+// file at any time, after SIGKILL too. A start never overwrites a ledger: an
+// existing -chain file is first moved aside to <path>.prevN.
 //
 // Two inputs the simulator gives an aggregator are absent here, and the
 // daemon says so. It has no feeder-head meter: no sum check runs, every
@@ -27,8 +30,9 @@
 // With -replicas N (N > 1) the ledger itself is replicated: every window's
 // batch runs through an in-process PBFT-style consensus cluster, pipelined
 // up to -pipeline proposals deep, onto N byte-identical chain replicas (see
-// repSealer). Shutdown persists all copies (-chain plus -chain.r1 ..
-// -chain.r(N-1)); chainctl verify passes on each.
+// repSealer). Each replica appends to its own file (-chain plus -chain.r1 ..
+// -chain.r(N-1)); the files are byte-identical and chainctl verify passes on
+// each.
 package main
 
 import (
@@ -40,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -64,6 +67,8 @@ type server struct {
 	chain *blockchain.Chain
 	rep   *repSealer
 
+	// chainPath is the primary's file; replica k > 0 appends to
+	// chainPath.rK.
 	chainPath string
 	logger    *log.Logger
 
@@ -94,10 +99,11 @@ type server struct {
 // Sealing is pipelined: a backlog larger than one block's worth is split
 // into up to `window` chunks proposed back-to-back (each chunk's header
 // speculatively chained to the hash of the previous in-flight one), and the
-// decided blocks land on each replica's chain through one group-committed
-// ImportBatch instead of per-block imports. seal runs as the aggregator's
-// seal hook, under its control-plane lock, so the embedded DES (which exists
-// only to drive the consensus message exchange) is single-threaded.
+// decided blocks land on every replica's chain file through one group commit
+// (blockchain.ImportBatches) instead of per-block imports. seal runs as the
+// aggregator's seal hook, under its control-plane lock, so the embedded DES
+// (which exists only to drive the consensus message exchange) is
+// single-threaded.
 type repSealer struct {
 	env     *sim.Env
 	cluster *consensus.Cluster
@@ -172,17 +178,32 @@ func newRepSealer(baseID string, n, window int, auth *blockchain.Authority, logg
 	return r, nil
 }
 
-// flush group-commits each replica's decided blocks onto its chain.
+// flush group-commits each replica's decided blocks onto its chain file,
+// encoding the group once for all replicas that decided the same data, and
+// then releases from consensus memory what every replica file holds.
 func (r *repSealer) flush() {
-	for _, id := range r.ids {
-		group := r.pending[id]
-		if len(group) == 0 {
-			continue
-		}
+	chains := make([]*blockchain.Chain, len(r.ids))
+	groups := make([][]*blockchain.Block, len(r.ids))
+	for k, id := range r.ids {
+		chains[k], groups[k] = r.chains[id], r.pending[id]
 		r.pending[id] = nil
-		if err := r.chains[id].ImportBatch(group); err != nil {
-			r.importErrs[id]++
-			r.logger.Printf("replica %s group commit of %d blocks failed: %v", id, len(group), err)
+	}
+	synced := true
+	for k, err := range blockchain.ImportBatches(chains, groups) {
+		if err != nil {
+			r.importErrs[r.ids[k]]++
+			r.logger.Printf("replica %s group commit of %d blocks failed: %v", r.ids[k], len(groups[k]), err)
+		}
+		synced = synced && err == nil && chains[k].Length() == chains[0].Length()
+	}
+	if !synced {
+		return // a diverged replica keeps consensus memory: it may need replay
+	}
+	// Every decision below each replica's frontier was just flushed, and
+	// every file holds the same blocks.
+	for _, id := range r.ids {
+		if rep := r.cluster.Replicas[id]; rep.Frontier() > 0 {
+			rep.Release(rep.Frontier() - 1)
 		}
 	}
 }
@@ -331,6 +352,19 @@ func newServer(cfg daemonConfig) (*server, error) {
 		cfg.Logger.Printf("replicated sealing: %d chain replicas, pipeline depth %d, consensus leader %s",
 			cfg.Replicas, rep.window, rep.cluster.Leader(0))
 	}
+	for k, chain := range s.chains() {
+		path := s.chainFile(k)
+		if err := moveAside(path, cfg.Logger); err != nil {
+			return nil, err
+		}
+		if err := chain.OpenLog(path); err != nil {
+			return nil, err
+		}
+	}
+	if s.reg != nil {
+		durable := s.reg.Gauge(cfg.ID + ".durable_height")
+		s.chain.OnDurable(func(blocks, _ int) { durable.Set(float64(blocks)) })
+	}
 	broker, err := mqtt.NewBroker(mqtt.BrokerOptions{
 		Logger:      cfg.Logger,
 		OnPublish:   s.onPublish,
@@ -377,6 +411,54 @@ func newServer(cfg daemonConfig) (*server, error) {
 	cfg.Logger.Printf("no feeder-head meter: sum check disabled, windows are reported unverified; " +
 		"no backhaul peer: devices naming a foreign home are refused")
 	return s, nil
+}
+
+// chains returns the ledger copies the daemon appends to, the primary first.
+func (s *server) chains() []*blockchain.Chain {
+	if s.rep == nil {
+		return []*blockchain.Chain{s.chain}
+	}
+	out := make([]*blockchain.Chain, len(s.rep.ids))
+	for k, id := range s.rep.ids {
+		out[k] = s.rep.chains[id]
+	}
+	return out
+}
+
+// chainFile is the file chains()[k] appends to.
+func (s *server) chainFile(k int) string {
+	if k == 0 {
+		return s.chainPath
+	}
+	return fmt.Sprintf("%s.r%d", s.chainPath, k)
+}
+
+// moveAside renames an existing non-empty file at path to the first free
+// path.prevN, so that a start never overwrites a previous run's ledger. An
+// empty file holds nothing and is removed.
+func moveAside(path string, logger *log.Logger) error {
+	st, err := os.Stat(path)
+	switch {
+	case os.IsNotExist(err):
+		return nil
+	case err != nil:
+		return err
+	case st.Size() == 0:
+		return os.Remove(path)
+	}
+	for n := 1; ; n++ {
+		prev := fmt.Sprintf("%s.prev%d", path, n)
+		if _, err := os.Lstat(prev); err == nil {
+			continue
+		} else if !os.IsNotExist(err) {
+			return err
+		}
+		if err := os.Rename(path, prev); err != nil {
+			return err
+		}
+		logger.Printf("previous chain file %s moved aside to %s", path, prev)
+		return nil
+	}
 }
 
 // serveTelemetry mounts the observability surface (/metrics, /series,
@@ -431,7 +513,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		logger.Printf("shutting down; writing chain to %s", s.chainPath)
+		logger.Printf("shutting down; sealing the last window into %s", s.chainPath)
 		s.persist()
 		s.broker.Close()
 		os.Exit(0)
@@ -534,50 +616,22 @@ func (s *server) sealReplicated(records []blockchain.Record) error {
 }
 
 // persist stops the window ticker, closes the last partial window so its
-// records are sealed, and writes the chain files.
+// records are sealed and appended, and closes the chain files. Every block
+// was synced as it landed, so nothing else is written here.
 func (s *server) persist() {
 	s.agg.Stop()
 	s.agg.CloseWindow()
 	s.logger.Printf("%d windows closed with reporters, %d flagged", s.windows, s.flagged)
-	if s.chain.Length() == 0 {
-		return
-	}
-	// Every other replica's copy lands next to the primary; chainctl
-	// verify passes on each, and the files are byte-identical. They are
-	// independent chains and independent fsyncs, so they are written at
-	// once.
-	chains := []*blockchain.Chain{s.chain}
-	paths := []string{s.chainPath}
-	if s.rep != nil {
-		for k := 1; k < len(s.rep.ids); k++ {
-			id := s.rep.ids[k]
-			if got := s.rep.chains[id].Length(); got != s.chain.Length() {
-				s.logger.Printf("WARNING: replica %s diverged (%d blocks vs %d, %d import errors)",
-					id, got, s.chain.Length(), s.rep.importErrs[id])
-			}
-			chains = append(chains, s.rep.chains[id])
-			paths = append(paths, fmt.Sprintf("%s.r%d", s.chainPath, k))
+	for k, chain := range s.chains() {
+		path := s.chainFile(k)
+		if k > 0 && chain.Length() != s.chain.Length() {
+			s.logger.Printf("WARNING: replica %s diverged (%d blocks vs %d, %d import errors)",
+				path, chain.Length(), s.chain.Length(), s.rep.importErrs[s.rep.ids[k]])
 		}
-	}
-	errs := make([]error, len(chains))
-	var wg sync.WaitGroup
-	for k := range chains {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[k] = chains[k].WriteFile(paths[k])
-		}()
-	}
-	wg.Wait()
-	for k, err := range errs {
-		switch {
-		case err != nil:
-			s.logger.Printf("persist chain %s: %v", paths[k], err)
-		case k == 0:
-			fmt.Fprintf(os.Stderr, "meterd: %d blocks (%d records) written to %s\n",
-				s.chain.Length(), s.chain.TotalRecords(), s.chainPath)
-		default:
-			fmt.Fprintf(os.Stderr, "meterd: replica %d chain written to %s\n", k, paths[k])
+		if err := chain.CloseLog(); err != nil {
+			s.logger.Printf("close chain %s: %v", path, err)
 		}
+		fmt.Fprintf(os.Stderr, "meterd: %s: %d blocks (%d records) durable\n",
+			path, chain.Length(), chain.TotalRecords())
 	}
 }

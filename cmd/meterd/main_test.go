@@ -228,3 +228,62 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartKeepsPreviousLedger: a daemon started on the path of a
+// previous run's ledger moves that file aside instead of replacing it, so
+// both runs' chains load and verify. Each run's blocks are durable as they
+// seal, and the durable height is on /metrics.
+func TestRestartKeepsPreviousLedger(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "agg.chain")
+	run := func(seqs uint64) {
+		t.Helper()
+		s, err := newServer(daemonConfig{
+			ID:         "rst",
+			ChainPath:  path,
+			Tmeasure:   100 * time.Millisecond,
+			BlockEvery: time.Hour, // only the explicit closes seal
+			Slots:      16,
+			Shards:     2,
+			Replicas:   2,
+			Telemetry:  true,
+			Logger:     log.New(io.Discard, "", 0),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.broker.Close()
+		const dev = "rst-dev"
+		s.agg.HandleDeviceMessage(dev, protocol.Register{DeviceID: dev})
+		for seq := uint64(1); seq <= seqs; seq++ {
+			s.agg.HandleDeviceMessage(dev, protocol.Report{DeviceID: dev, Measurements: []protocol.Measurement{{
+				Seq:       seq,
+				Timestamp: time.Date(2020, 4, 29, 0, 0, 0, 0, time.UTC).Add(time.Duration(seq) * 100 * time.Millisecond),
+				Interval:  100 * time.Millisecond,
+				Current:   units.MilliampsToCurrent(5),
+				Voltage:   5 * units.Volt,
+			}}})
+			if seq == seqs/2 {
+				s.agg.CloseWindow()
+			}
+		}
+		s.persist()
+		if got := s.reg.Gauge("rst.durable_height").Value(); got != 2 || s.chain.Length() != 2 {
+			t.Fatalf("durable_height = %v with %d blocks sealed, want 2", got, s.chain.Length())
+		}
+	}
+	run(4)
+	run(6)
+	for file, records := range map[string]int{
+		path: 6, path + ".r1": 6, // the second run
+		path + ".prev1": 4, path + ".r1.prev1": 4, // the first, moved aside
+	} {
+		chain, err := blockchain.ReadFile(file, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := chain.Verify(); err != nil || chain.Length() != 2 || chain.TotalRecords() != records {
+			t.Errorf("%s: %d blocks, %d records (want 2, %d), verify: %v",
+				file, chain.Length(), chain.TotalRecords(), records, err)
+		}
+	}
+}

@@ -17,6 +17,15 @@ import (
 	"decentmeter/internal/units"
 )
 
+func recordsOf(t *testing.T, c *blockchain.Chain, deviceID string) []blockchain.Record {
+	t.Helper()
+	recs, err := c.RecordsOf(deviceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // rig assembles one aggregator with a controllable feeder truth and a
 // captured downlink.
 type rig struct {
@@ -349,7 +358,7 @@ func TestForwardReportRecordedAtHome(t *testing.T) {
 		Measurements: []protocol.Measurement{meas(10, 80)},
 	})
 	r.env.RunUntil(1100 * time.Millisecond)
-	recs := r.agg.cfg.Chain.RecordsOf("dev1")
+	recs := recordsOf(t, r.agg.cfg.Chain, "dev1")
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -522,7 +531,7 @@ func TestForwardReportAdvancesByBatchMax(t *testing.T) {
 		Measurements: []protocol.Measurement{meas(10, 80)},
 	})
 	r.env.RunUntil(1100 * time.Millisecond)
-	if got := len(r.agg.cfg.Chain.RecordsOf("dev1")); got != 3 {
+	if got := len(recordsOf(t, r.agg.cfg.Chain, "dev1")); got != 3 {
 		t.Fatalf("%d records stored, want 3", got)
 	}
 }

@@ -368,12 +368,12 @@ func TestChainRecordsOf(t *testing.T) {
 	c, signer := newSignedChain(t)
 	c.Seal(signer, t0, []Record{mkRecord("a", 0), mkRecord("b", 0)})
 	c.Seal(signer, t0, []Record{mkRecord("a", 1)})
-	got := c.RecordsOf("a")
-	if len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 1 {
-		t.Fatalf("RecordsOf = %+v", got)
+	got, err := c.RecordsOf("a")
+	if err != nil || len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 1 {
+		t.Fatalf("RecordsOf = %+v, %v", got, err)
 	}
-	if len(c.RecordsOf("ghost")) != 0 {
-		t.Fatal("records for unknown device")
+	if ghost, err := c.RecordsOf("ghost"); err != nil || len(ghost) != 0 {
+		t.Fatalf("records for unknown device: %v, %v", ghost, err)
 	}
 }
 

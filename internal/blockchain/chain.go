@@ -154,6 +154,13 @@ func (a *Authority) Members() int { return len(a.keys) }
 // Chain is the shared permissioned hash chain. Blocks from all aggregators
 // are "formed into a common permissioned blockchain"; trust comes from the
 // authority set, not consensus.
+//
+// A chain is in memory, or file-backed once OpenLog gives it a chain file:
+// then every accepted block is appended to the file and synced before the
+// call that added it returns, and its records are released from memory.
+// A file-backed chain keeps headers, signatures and the record count; the
+// methods that need records (Block, Verify, ProveRecord, RecordsOf,
+// WriteFile) return ErrReleased there, and Head's Records are nil.
 type Chain struct {
 	blocks    []*Block
 	authority *Authority
@@ -166,6 +173,13 @@ type Chain struct {
 	// unsigned counts appended blocks whose deferred signature has not
 	// attached yet (see AppendUnsealed).
 	unsigned int
+
+	// records counts records across all blocks, released ones included.
+	records int
+	// log is the chain file of a file-backed chain (nil in memory), and
+	// released the number of leading blocks whose records live only there.
+	log      *chainLog
+	released int
 }
 
 // NewChain creates an empty chain governed by authority (may be nil for an
@@ -177,7 +191,8 @@ func NewChain(authority *Authority) *Chain {
 // Length returns the number of blocks.
 func (c *Chain) Length() int { return len(c.blocks) }
 
-// Head returns the latest block, or nil for an empty chain.
+// Head returns the latest block, or nil for an empty chain. It is what the
+// next block links to; on a file-backed chain its Records are nil.
 func (c *Chain) Head() *Block {
 	if len(c.blocks) == 0 {
 		return nil
@@ -185,10 +200,14 @@ func (c *Chain) Head() *Block {
 	return c.blocks[len(c.blocks)-1]
 }
 
-// Block returns block i.
+// Block returns block i. It fails with ErrReleased for a block of a
+// file-backed chain: its records are in the file (ReadFile).
 func (c *Chain) Block(i int) (*Block, error) {
 	if i < 0 || i >= len(c.blocks) {
 		return nil, fmt.Errorf("blockchain: block %d of %d", i, len(c.blocks))
+	}
+	if i < c.released {
+		return nil, c.releasedErr()
 	}
 	return c.blocks[i], nil
 }
@@ -196,7 +215,9 @@ func (c *Chain) Block(i int) (*Block, error) {
 // Seal builds, signs and appends a block containing records. The Merkle
 // root is computed once (see recordsRoot); the signature is
 // still verified against the authority set so an unadmitted or forged
-// signer cannot extend the chain.
+// signer cannot extend the chain. A file-backed chain only borrows records:
+// they are written to the file within the call, and the returned block's
+// Records are nil.
 func (c *Chain) Seal(s *Signer, at time.Time, records []Record) (*Block, error) {
 	if len(records) == 0 {
 		return nil, ErrEmptyBlock
@@ -219,8 +240,13 @@ func (c *Chain) Seal(s *Signer, at time.Time, records []Record) (*Block, error) 
 			return nil, err
 		}
 	}
-	blk := &Block{Header: hdr, Records: append([]Record(nil), records...), Sig: sig}
-	c.blocks = append(c.blocks, blk)
+	blk := &Block{Header: hdr, Records: records, Sig: sig}
+	if c.log == nil {
+		blk.Records = append([]Record(nil), records...)
+	}
+	if err := c.land([]*Block{blk}, nil); err != nil {
+		return nil, err
+	}
 	return blk, nil
 }
 
@@ -263,10 +289,14 @@ func (c *Chain) PrepareBlockAt(s *Signer, at time.Time, index uint64, prev Hash,
 // the block onto the chain with an empty signature — the ECDSA sign stage
 // runs later (typically on a SealWorker off the window-close critical path)
 // and attaches via AttachSignature. Verify, Export and Import all reject
-// unsigned blocks, so a signature cannot be skipped, only deferred.
+// unsigned blocks, so a signature cannot be skipped, only deferred. A
+// file-backed chain writes only signed blocks and refuses the call.
 func (c *Chain) AppendUnsealed(producer string, at time.Time, records []Record) (*Block, error) {
 	if producer == "" {
 		return nil, errors.New("blockchain: unsealed block requires a producer")
+	}
+	if c.log != nil {
+		return nil, errors.New("blockchain: a file-backed chain does not defer signatures")
 	}
 	if len(records) == 0 {
 		return nil, ErrEmptyBlock
@@ -281,6 +311,7 @@ func (c *Chain) AppendUnsealed(producer string, at time.Time, records []Record) 
 	}
 	blk := &Block{Header: hdr, Records: append([]Record(nil), records...)}
 	c.blocks = append(c.blocks, blk)
+	c.records += len(records)
 	c.unsigned++
 	return blk, nil
 }
@@ -354,8 +385,7 @@ func (c *Chain) append(b *Block, workers int) error {
 			return err
 		}
 	}
-	c.blocks = append(c.blocks, b)
-	return nil
+	return c.land([]*Block{b}, nil)
 }
 
 // Import appends an externally produced block (e.g. received from another
@@ -367,9 +397,18 @@ func (c *Chain) Import(b *Block) error { return c.append(b, sealWorkers()) }
 // prev-hash, index, Merkle root), then every producer signature is verified
 // in one batched pass, and only then does the group land on the chain —
 // all-or-nothing, so a bad block in the middle cannot leave a half-imported
-// group behind. The pipelined seal path uses it to commit a drained window
-// of decided blocks in one call.
+// group behind. On a file-backed chain the group is one append and one sync.
+// The pipelined seal path uses it to commit a drained window of decided
+// blocks in one call.
 func (c *Chain) ImportBatch(blocks []*Block) error {
+	if err := c.checkBatch(blocks); err != nil {
+		return err
+	}
+	return c.land(blocks, nil)
+}
+
+// checkBatch runs every ImportBatch check on blocks without landing them.
+func (c *Chain) checkBatch(blocks []*Block) error {
 	if len(blocks) == 0 {
 		return nil
 	}
@@ -388,14 +427,17 @@ func (c *Chain) ImportBatch(blocks []*Block) error {
 			}
 		}
 	}
-	c.blocks = append(c.blocks, blocks...)
 	return nil
 }
 
 // Verify re-validates the entire chain: linkage, indices, Merkle roots and
 // signatures. It returns the height of the first bad block with
-// ErrTampered, or -1 and nil when intact.
+// ErrTampered, or -1 and nil when intact. A file-backed chain returns -1
+// and ErrReleased: verify its file (ReadFile, then Verify).
 func (c *Chain) Verify() (int, error) {
+	if c.released > 0 {
+		return -1, c.releasedErr()
+	}
 	var prev Hash
 	for i, b := range c.blocks {
 		if b.Header.PrevHash != prev {
@@ -426,8 +468,12 @@ func (c *Chain) ProveRecord(blockIdx, idx int) (MerkleProof, error) {
 	return BuildProof(leafHashes(b.Records), idx)
 }
 
-// RecordsOf returns every stored record for a device, oldest first.
-func (c *Chain) RecordsOf(deviceID string) []Record {
+// RecordsOf returns every stored record for a device, oldest first. A
+// file-backed chain returns ErrReleased: read its file (ReadFile).
+func (c *Chain) RecordsOf(deviceID string) ([]Record, error) {
+	if c.released > 0 {
+		return nil, c.releasedErr()
+	}
 	var out []Record
 	for _, b := range c.blocks {
 		for _, r := range b.Records {
@@ -436,14 +482,9 @@ func (c *Chain) RecordsOf(deviceID string) []Record {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
-// TotalRecords counts records across all blocks.
-func (c *Chain) TotalRecords() int {
-	n := 0
-	for _, b := range c.blocks {
-		n += len(b.Records)
-	}
-	return n
-}
+// TotalRecords counts records across all blocks, on a file-backed chain
+// those released to the file too.
+func (c *Chain) TotalRecords() int { return c.records }

@@ -190,11 +190,36 @@ func decodeFrame(frame []byte, in interner) (*Block, error) {
 	return blk, nil
 }
 
-// WriteFile persists the chain as a binary block log (see the format above).
-// Frames stream through one reused buffer; the file lands through a temp
-// file, fsync and rename, so a crash mid-write leaves the previous file (or
-// none), never a truncated ledger.
+// appendFrameRecords appends each block as one frame record:
+// uvarint(len(frame)) frame crc32c(frame). The chain file's appender and
+// WriteFile both encode through it.
+func appendFrameRecords(dst []byte, blocks []*Block) []byte {
+	const room = binary.MaxVarintLen64
+	var lp [room]byte
+	for _, b := range blocks {
+		// The frame is built after room for the longest length prefix;
+		// the gap left by the actual prefix is then closed.
+		at := len(dst)
+		dst = appendFrame(append(dst, lp[:]...), b)
+		n := len(dst) - at - room
+		k := binary.PutUvarint(lp[:], uint64(n))
+		copy(dst[at+k:], dst[at+room:])
+		copy(dst[at:], lp[:k])
+		dst = dst[:at+k+n]
+		dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[at+k:], castagnoli))
+	}
+	return dst
+}
+
+// WriteFile persists the chain as a binary block log (see the format above):
+// a temp file gets the file header and every block appended, one frame
+// record at a time, and is synced and renamed over path, so a crash
+// mid-write leaves the previous file (or none), never a truncated ledger. A
+// file-backed chain returns ErrReleased: its file is already the log.
 func (c *Chain) WriteFile(path string) error {
+	if c.released > 0 {
+		return c.releasedErr()
+	}
 	return writeFileAtomic(path, c.writeTo)
 }
 
@@ -202,17 +227,10 @@ func (c *Chain) writeTo(w io.Writer) error {
 	if _, err := io.WriteString(w, fileHeader); err != nil {
 		return err
 	}
-	// Each frame is built after room for its length prefix, so prefix,
-	// frame and CRC leave in one write.
-	const room = binary.MaxVarintLen64
-	buf := make([]byte, room, 64<<10)
-	for _, b := range c.blocks {
-		buf = appendFrame(buf[:room], b)
-		var lp [room]byte
-		k := binary.PutUvarint(lp[:], uint64(len(buf)-room))
-		copy(buf[room-k:], lp[:k])
-		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[room:], castagnoli))
-		if _, err := w.Write(buf[room-k:]); err != nil {
+	var buf []byte
+	for i, b := range c.blocks {
+		buf = appendFrameRecords(buf[:0], c.blocks[i:i+1])
+		if _, err := w.Write(buf); err != nil {
 			return fmt.Errorf("block %d: %w", b.Header.Index, err)
 		}
 	}

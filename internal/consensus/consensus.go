@@ -379,7 +379,10 @@ type Replica struct {
 	// OnDecide stays strictly in sequence order regardless of depth.
 	Window int
 	slots  map[uint64]*slot
-	blocks [][]blockchain.Record
+	// blocks is the decided log, indexed by sequence number; Release nils
+	// the batches below released and deletes their slots.
+	blocks   [][]blockchain.Record
+	released uint64
 	// decided is the flattened view of blocks, extended lazily and
 	// incrementally by Decided(): flattened counts the blocks already
 	// folded in. Commit never touches it, so the agreement hot path pays
@@ -615,9 +618,28 @@ func (r *Replica) Decided() []*blockchain.Record {
 }
 
 // DecidedBlocks returns the per-slot decided batches as a capacity-capped
-// view (same contract as Decided).
+// view (same contract as Decided). A released batch is nil.
 func (r *Replica) DecidedBlocks() [][]blockchain.Record {
 	return r.blocks[:len(r.blocks):len(r.blocks)]
+}
+
+// Release drops the decided batches at or below seq from memory: their
+// decided-log entries and the committed slots catch-up replay serves. A
+// host calls it once those batches are durable elsewhere; a syncreq for a
+// released slot replays nothing, and Decided no longer lists them.
+// Undecided slots are never released.
+func (r *Replica) Release(seq uint64) {
+	end := min(seq+1, r.nextSeq)
+	if end <= r.released {
+		return
+	}
+	for s := r.released; s < end; s++ {
+		r.blocks[s] = nil
+		delete(r.slots, s)
+	}
+	r.released = end
+	// The flat view points into the released batches: rebuild it lazily.
+	r.decided, r.flattened = nil, 0
 }
 
 // ErrNotLeader is returned when Propose is called on a follower.
@@ -777,6 +799,9 @@ func (r *Replica) receive(msg Message) {
 		// *requester's* frontier and must never allocate state here.
 		r.replaySync(msg)
 		return
+	}
+	if msg.Seq < r.released {
+		return // decided, durable and forgotten: nothing left to vote on
 	}
 	// Seq horizon: refuse to allocate vote state for slots far beyond the
 	// pipelined window — honest traffic never runs that far ahead, so this

@@ -419,3 +419,73 @@ func TestDeterministicConsensus(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseKeepsReplayAboveWatermark: a host that released the decided
+// batches at or below a watermark still serves catch-up above it, and the
+// decided order is the one the unreleased replicas saw.
+func TestReleaseKeepsReplayAboveWatermark(t *testing.T) {
+	env, c := newCluster(t, 4, 1)
+	decide := func(from, n int) {
+		t.Helper()
+		for i := from; i < from+n; i++ {
+			leader := c.Replicas[c.Leader(c.anyView())]
+			if err := leader.ProposeMeta(recs(uint64(i*10), 2), []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+			env.RunUntil(env.Now() + 50*time.Millisecond)
+		}
+	}
+	decide(0, 3)
+	sleeper := c.Replicas[c.ids[3]]
+	sleeper.Crash()
+	decide(3, 3)
+	for _, id := range c.ids {
+		c.Replicas[id].Release(2)
+	}
+
+	live := c.Replicas[c.ids[0]]
+	blocks := live.DecidedBlocks()
+	for s, b := range blocks {
+		if released := s <= 2; released != (b == nil) {
+			t.Fatalf("seq %d: batch %v after Release(2)", s, b)
+		}
+		if _, ok := live.slots[uint64(s)]; ok == (s <= 2) {
+			t.Fatalf("seq %d: slot kept = %v after Release(2)", s, ok)
+		}
+	}
+	if got := len(live.Decided()); got != 6 {
+		t.Fatalf("Decided lists %d records after Release(2), want the 6 above it", got)
+	}
+	if got := len(sleeper.DecidedBlocks()); got != 3 {
+		t.Fatalf("crashed replica decided %d batches, want 3", got)
+	}
+
+	var caught []uint64
+	sleeper.OnDecideMeta = func(seq uint64, records []blockchain.Record, meta []byte) {
+		caught = append(caught, seq)
+		if want := blocks[seq]; len(records) != len(want) || records[0] != want[0] || meta[0] != byte(seq) {
+			t.Errorf("seq %d replayed %v (meta %v), want %v", seq, records, meta, want)
+		}
+	}
+	sleeper.Recover()
+	env.RunUntil(env.Now() + 200*time.Millisecond)
+	if len(caught) != 3 || caught[0] != 3 || caught[2] != 5 || sleeper.Frontier() != 6 {
+		t.Fatalf("recovered replica caught up %v, frontier %d; want seqs 3..5", caught, sleeper.Frontier())
+	}
+	sleeper.OnDecideMeta = nil
+
+	// Agreement goes on past the watermark, in one order everywhere.
+	decide(6, 2)
+	for _, id := range c.ids {
+		r := c.Replicas[id]
+		got := r.DecidedBlocks()
+		if len(got) != 8 || got[7][0].Seq != 70 || got[6][0].Seq != 60 {
+			t.Fatalf("%s decided %d batches after the watermark, last %v", id, len(got), got[len(got)-1])
+		}
+		for s := 3; s < 8; s++ {
+			if got[s][0] != live.DecidedBlocks()[s][0] {
+				t.Fatalf("%s: seq %d differs from %s", id, s, live.ID)
+			}
+		}
+	}
+}

@@ -5,10 +5,20 @@ import (
 	"testing"
 	"time"
 
+	"decentmeter/internal/blockchain"
 	"decentmeter/internal/energy"
 	"decentmeter/internal/protocol"
 	"decentmeter/internal/units"
 )
+
+func recordsOf(t *testing.T, c *blockchain.Chain, deviceID string) []blockchain.Record {
+	t.Helper()
+	recs, err := c.RecordsOf(deviceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
 
 func TestSystemAttachment(t *testing.T) {
 	sys := NewSystem(DefaultParams())
@@ -52,7 +62,7 @@ func TestReportsFlowIntoChain(t *testing.T) {
 	if sys.Chain.Length() == 0 {
 		t.Fatal("no blocks sealed")
 	}
-	recs := sys.Chain.RecordsOf("device1")
+	recs := recordsOf(t, sys.Chain, "device1")
 	// ~12s of connected time at 10 Hz: expect on the order of 100+.
 	if len(recs) < 80 {
 		t.Fatalf("only %d records stored", len(recs))
@@ -83,7 +93,7 @@ func TestReportCadenceIsTmeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(15 * time.Second)
-	recs := sys.Chain.RecordsOf("device1")
+	recs := recordsOf(t, sys.Chain, "device1")
 	if len(recs) < 50 {
 		t.Fatalf("too few records: %d", len(recs))
 	}
@@ -320,7 +330,7 @@ func TestAggregatorCrashRecovery(t *testing.T) {
 		t.Fatal("device not admitted after home recovery")
 	}
 	buffered := 0
-	for _, r := range sys.Chain.RecordsOf("device1") {
+	for _, r := range recordsOf(t, sys.Chain, "device1") {
 		if r.Buffered {
 			buffered++
 		}
@@ -350,7 +360,7 @@ func TestEnergyConservation(t *testing.T) {
 	}
 	// Analytic check: 100 mA at 5 V for the connected span.
 	perSample := units.EnergyFromIVOver(truth, 5*units.Volt, p.Tmeasure)
-	recs := len(sys.Chain.RecordsOf("device1"))
+	recs := len(recordsOf(t, sys.Chain, "device1"))
 	analytic := units.Energy(int64(perSample) * int64(recs))
 	diff := float64((chainE - analytic).Abs())
 	if diff > 0.05*float64(analytic) {

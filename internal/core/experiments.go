@@ -222,7 +222,8 @@ func RunFig6(p Params, dwell, transit, after time.Duration) (Fig6Result, error) 
 		res.Trace = append(res.Trace, Fig6Point{At: pt.T, MA: pt.V})
 	}
 
-	for _, r := range sys.Chain.RecordsOf("device1") {
+	recs, _ := sys.Chain.RecordsOf("device1") // in memory: no ErrReleased
+	for _, r := range recs {
 		if r.Buffered {
 			res.BufferedDelivered++
 		}

@@ -330,9 +330,9 @@ func TestMigrateRoamerBackToOwnHome(t *testing.T) {
 	// The device keeps reporting (to its home) and its records keep
 	// sealing: it was steered, not stranded.
 	chain, _ := rs.ChainOf("agg3")
-	before := len(chain.RecordsOf("dev00"))
+	before := len(recordsOf(t, chain, "dev00"))
 	sys.Run(4 * time.Second)
-	if after := len(chain.RecordsOf("dev00")); after <= before {
+	if after := len(recordsOf(t, chain, "dev00")); after <= before {
 		t.Fatalf("dev00 stranded after migrating home: records %d -> %d", before, after)
 	}
 }
@@ -382,7 +382,7 @@ func TestRoamerSurvivesHomeCrash(t *testing.T) {
 	chain, _ := rs.ChainOf("agg3")
 	seen := map[uint64]int{}
 	var max uint64
-	for _, r := range chain.RecordsOf("dev00") {
+	for _, r := range recordsOf(t, chain, "dev00") {
 		seen[r.Seq]++
 		if r.Seq > max {
 			max = r.Seq

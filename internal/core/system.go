@@ -537,7 +537,8 @@ func (s *System) scanFor(devID string) (radio.ScanResult, time.Duration, bool) {
 // EnergyReportedFor sums the chain's stored energy for a device.
 func (s *System) EnergyReportedFor(deviceID string) units.Energy {
 	var total units.Energy
-	for _, r := range s.Chain.RecordsOf(deviceID) {
+	recs, _ := s.Chain.RecordsOf(deviceID) // the system's chain is in memory: no ErrReleased
+	for _, r := range recs {
 		total += r.Energy
 	}
 	return total
