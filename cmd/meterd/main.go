@@ -100,10 +100,12 @@ type server struct {
 // into up to `window` chunks proposed back-to-back (each chunk's header
 // speculatively chained to the hash of the previous in-flight one), and the
 // decided blocks land on every replica's chain file through one group commit
-// (blockchain.ImportBatches) instead of per-block imports. seal runs as the
-// aggregator's seal hook, under its control-plane lock, so the embedded DES
-// (which exists only to drive the consensus message exchange) is
-// single-threaded.
+// (blockchain.ImportBatches) instead of per-block imports: the replicas'
+// groups share their records, so the group's Merkle roots and signatures are
+// checked and its frames encoded once, while each replica checks that the
+// group links onto its own chain head. seal runs as the aggregator's seal
+// hook, under its control-plane lock, so the embedded DES (which exists only
+// to drive the consensus message exchange) is single-threaded.
 type repSealer struct {
 	env     *sim.Env
 	cluster *consensus.Cluster
@@ -179,8 +181,9 @@ func newRepSealer(baseID string, n, window int, auth *blockchain.Authority, logg
 }
 
 // flush group-commits each replica's decided blocks onto its chain file,
-// encoding the group once for all replicas that decided the same data, and
-// then releases from consensus memory what every replica file holds.
+// checking and encoding the group once for all replicas that decided the
+// same data, and then releases from consensus memory what every replica
+// file holds.
 func (r *repSealer) flush() {
 	chains := make([]*blockchain.Chain, len(r.ids))
 	groups := make([][]*blockchain.Block, len(r.ids))

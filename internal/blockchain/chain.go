@@ -344,19 +344,26 @@ func (c *Chain) AttachSignature(index uint64, sig Signature) error {
 // deferred signature (0 once the seal pipeline has drained).
 func (c *Chain) UnsignedBlocks() int { return c.unsigned }
 
-// validateLink runs the structural (signature-free) acceptance checks for a
-// block expected at (wantPrev, wantIndex): emptiness, chain linkage, index
-// and Merkle root. Single-block append and ImportBatch share it, so a rule
-// added here applies to both import paths.
-func (c *Chain) validateLink(b *Block, wantPrev Hash, wantIndex uint64, workers int) error {
-	if len(b.Records) == 0 {
-		return ErrEmptyBlock
-	}
+// checkLink runs the checks on the chain's state for a block expected at
+// (wantPrev, wantIndex): the prev-hash link and the index. They hold for one
+// chain only, so every chain that takes the block runs them.
+func checkLink(b *Block, wantPrev Hash, wantIndex uint64) error {
 	if b.Header.PrevHash != wantPrev {
 		return ErrBadPrevHash
 	}
 	if b.Header.Index != wantIndex {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadIndex2, b.Header.Index, wantIndex)
+	}
+	return nil
+}
+
+// checkContent runs the key-free checks on a block's own bytes: it holds
+// records, and they hash to its header's Merkle root (on up to workers
+// goroutines, see recordsRoot). Single-block append and ImportBatch share
+// it and checkLink, so a rule added to either applies to both import paths.
+func (c *Chain) checkContent(b *Block, workers int) error {
+	if len(b.Records) == 0 {
+		return ErrEmptyBlock
 	}
 	if b.Header.MerkleRoot != c.recordsRoot(b.Records, workers) {
 		return ErrBadMerkleRoot
@@ -377,7 +384,10 @@ func (c *Chain) nextLink() (Hash, uint64) {
 // records on up to workers goroutines (see recordsRoot).
 func (c *Chain) append(b *Block, workers int) error {
 	wantPrev, wantIndex := c.nextLink()
-	if err := c.validateLink(b, wantPrev, wantIndex, workers); err != nil {
+	if err := checkLink(b, wantPrev, wantIndex); err != nil {
+		return err
+	}
+	if err := c.checkContent(b, workers); err != nil {
 		return err
 	}
 	if c.authority != nil {
@@ -393,39 +403,61 @@ func (c *Chain) append(b *Block, workers int) error {
 func (c *Chain) Import(b *Block) error { return c.append(b, sealWorkers()) }
 
 // ImportBatch appends a group of externally produced blocks atomically
-// (group commit): first a structural pass links the whole group (emptiness,
-// prev-hash, index, Merkle root), then every producer signature is verified
-// in one batched pass, and only then does the group land on the chain —
-// all-or-nothing, so a bad block in the middle cannot leave a half-imported
-// group behind. On a file-backed chain the group is one append and one sync.
-// The pipelined seal path uses it to commit a drained window of decided
-// blocks in one call.
+// (group commit): first every block's link and index are checked against
+// the one before it, then every block's records against its Merkle root,
+// then every producer signature, and only then does the group land on the
+// chain — all-or-nothing, so a bad block in the middle cannot leave a
+// half-imported group behind. On a file-backed chain the group is one
+// append and one sync.
 func (c *Chain) ImportBatch(blocks []*Block) error {
-	if err := c.checkBatch(blocks); err != nil {
+	if err := c.checkBatch(blocks, &sharedGroup{}); err != nil {
 		return err
 	}
 	return c.land(blocks, nil)
 }
 
+// sharedGroup is what the checks on a group's own bytes established, kept
+// for every chain that takes the very same group (see sameBlocks). Only
+// passed checks are kept.
+type sharedGroup struct {
+	// contentOK: every block holds records that hash to its Merkle root.
+	contentOK bool
+	// signedFor is the authority every signature verified against, nil
+	// until one did.
+	signedFor *Authority
+	// frames is the group's encoding, once a file-backed chain made it.
+	frames []byte
+}
+
 // checkBatch runs every ImportBatch check on blocks without landing them.
-func (c *Chain) checkBatch(blocks []*Block) error {
-	if len(blocks) == 0 {
-		return nil
-	}
+// The checks on c's state (checkLink) always run; the checks on the blocks'
+// own bytes (checkContent, and each signature against c's authority) are
+// skipped where g says they passed for the same group, and g keeps what
+// passes here.
+func (c *Chain) checkBatch(blocks []*Block, g *sharedGroup) error {
 	wantPrev, wantIndex := c.nextLink()
 	for i, b := range blocks {
-		if err := c.validateLink(b, wantPrev, wantIndex, sealWorkers()); err != nil {
+		if err := checkLink(b, wantPrev, wantIndex); err != nil {
 			return fmt.Errorf("blockchain: import batch block %d: %w", i, err)
 		}
 		wantPrev = b.Hash()
 		wantIndex++
 	}
-	if c.authority != nil {
+	if !g.contentOK {
+		for i, b := range blocks {
+			if err := c.checkContent(b, sealWorkers()); err != nil {
+				return fmt.Errorf("blockchain: import batch block %d: %w", i, err)
+			}
+		}
+		g.contentOK = true
+	}
+	if c.authority != nil && g.signedFor != c.authority {
 		for i, b := range blocks {
 			if err := c.authority.Verify(b.Header.Producer, b.Hash(), b.Sig); err != nil {
 				return fmt.Errorf("blockchain: import batch block %d: %w", i, err)
 			}
 		}
+		g.signedFor = c.authority
 	}
 	return nil
 }

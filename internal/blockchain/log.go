@@ -163,40 +163,48 @@ func (c *Chain) releasedErr() error {
 
 // ImportBatches imports groups[k] onto chains[k] for every k, as
 // ImportBatch would, and returns each chain's error. It is the group commit
-// of replicas that decided the same blocks: every import check runs on
-// every chain, but a group that is the same data as an earlier one (equal
-// headers and signatures over the same record slices, as consensus
-// replicas decide them) is encoded once, and those bytes are appended to
-// each file-backed chain that received it. Each chain must own its Block
-// values; they may share record slices.
+// of replicas that decided the same blocks. A group that is the same data
+// as an earlier one (sameBlocks: equal headers and signatures over the same
+// record slices, as consensus replicas decide them) is checked and encoded
+// once: its Merkle roots on the first chain they pass on, its signatures on
+// the first chain of each *Authority they pass on, and its encoding is
+// appended to each file-backed chain that received it. The checks on each
+// chain's state (prev-hash link, index) run on every chain, and a group
+// that differs in any way is checked in full. Nothing is written before
+// its checks pass. Each chain must own its Block values; they may share
+// record slices.
 func ImportBatches(chains []*Chain, groups [][]*Block) []error {
 	errs := make([]error, len(chains))
-	frames := make([][]byte, len(chains))
-	// All groups are encoded before any lands: landing releases records.
-	for k, c := range chains {
-		if errs[k] = c.checkBatch(groups[k]); errs[k] != nil || c.log == nil || len(groups[k]) == 0 {
-			continue
-		}
+	// shared[k] is what checking and encoding k's group established: one
+	// value for all chains whose groups are the same data.
+	shared := make([]*sharedGroup, len(chains))
+	for k := range chains {
+		shared[k] = new(sharedGroup)
 		for j := range k {
-			if frames[j] != nil && sameBlocks(groups[j], groups[k]) {
-				frames[k] = frames[j]
+			if sameBlocks(groups[j], groups[k]) {
+				shared[k] = shared[j]
 				break
 			}
 		}
-		if frames[k] == nil {
-			frames[k] = c.log.encode(groups[k])
+	}
+	// All groups are encoded before any lands: landing releases records.
+	for k, c := range chains {
+		g := shared[k]
+		if errs[k] = c.checkBatch(groups[k], g); errs[k] == nil && c.log != nil && g.frames == nil {
+			g.frames = c.log.encode(groups[k])
 		}
 	}
 	for k, c := range chains {
 		if errs[k] == nil {
-			errs[k] = c.land(groups[k], frames[k])
+			errs[k] = c.land(groups[k], shared[k].frames)
 		}
 	}
 	return errs
 }
 
-// sameBlocks reports whether two groups encode to the same bytes: the same
-// headers (by hash) and signatures over the very same record slices.
+// sameBlocks reports whether two groups are the same data: the same headers
+// (by hash) and signatures over the very same record slices. Such groups
+// encode to the same bytes and pass or fail the same checks on them.
 func sameBlocks(a, b []*Block) bool {
 	if len(a) != len(b) {
 		return false

@@ -117,10 +117,10 @@ func TestLogMatchesWriteFile(t *testing.T) {
 	}
 }
 
-// Four replicas group-commit the same decided blocks: the group is encoded
-// once, and every file holds the bytes WriteFile writes. A replica whose
-// blocks carry their own copy of the records is encoded on its own, to the
-// same bytes.
+// Four replicas group-commit the same decided blocks: the group's Merkle
+// roots are computed and its frames encoded once, and every file holds the
+// bytes WriteFile writes. A replica whose blocks carry their own copy of the
+// records is checked and encoded on its own, to the same bytes.
 func TestImportBatchesEncodesSharedGroupOnce(t *testing.T) {
 	leader, signer := newSignedChain(t)
 	var groups [][]Record
@@ -165,9 +165,10 @@ func TestImportBatchesEncodesSharedGroupOnce(t *testing.T) {
 		if !bytes.Equal(readBytes(t, c.log.path), readBytes(t, want)) {
 			t.Errorf("replica %d's file differs from WriteFile of the same blocks", k)
 		}
-		encoded := c.log.buf != nil
-		if wantEncoded := k == 0 || k == replicas-1; encoded != wantEncoded {
-			t.Errorf("replica %d encoded its own frames: %v, want %v", k, encoded, wantEncoded)
+		encoded, rooted := c.log.buf != nil, c.leafBuf != nil
+		if wantOwn := k == 0 || k == replicas-1; encoded != wantOwn || rooted != wantOwn {
+			t.Errorf("replica %d encoded its own frames: %v, computed a Merkle root: %v, want %v",
+				k, encoded, rooted, wantOwn)
 		}
 		if c.Length() != 3 || c.TotalRecords() != 303 {
 			t.Errorf("replica %d: %d blocks, %d records", k, c.Length(), c.TotalRecords())
@@ -199,6 +200,121 @@ func TestImportBatchesChecksEveryReplica(t *testing.T) {
 	}
 	if good.Length() != 1 || bad.Length() != 0 || bad.log.size != int64(len(fileHeader)) {
 		t.Fatalf("good %d blocks, bad %d blocks and %d bytes", good.Length(), bad.Length(), bad.log.size)
+	}
+}
+
+// A later replica reuses only what passed on an earlier one holding the very
+// same group, and the signature result only under the same *Authority; a
+// replica whose group differs in any way is checked in full, and a refused
+// replica's file gains nothing.
+func TestImportBatchesSharesOnlyPassedByteChecks(t *testing.T) {
+	leader, signer := newSignedChain(t)
+	for round := 0; round < 3; round++ {
+		sealRound(t, leader, signer, round, 50+round)
+	}
+	forkBlock, err := NewChain(leader.authority).Seal(signer, t0, []Record{mkRecord("d9", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger := NewAuthority()
+	if err := stranger.Admit("someone-else", signer.Public()); err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join(t.TempDir(), "written.chain")
+	if err := leader.WriteFile(want); err != nil {
+		t.Fatal(err)
+	}
+
+	const replicas = 4
+	cases := []struct {
+		name string
+		// edit changes the replicas' chains or groups from four empty
+		// chains of the leader's authority taking the leader's blocks.
+		edit func(t *testing.T, chains []*Chain, groups [][]*Block)
+		// wantErr[k] is the error replica k is refused with (nil: lands);
+		// wantRooted[k] whether it computed a Merkle root itself.
+		wantErr    []error
+		wantRooted []bool
+	}{
+		{name: "shared group onto a diverged head",
+			edit: func(t *testing.T, chains []*Chain, groups [][]*Block) {
+				head := *forkBlock
+				if err := chains[0].Import(&head); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr:    []error{ErrBadPrevHash, nil, nil, nil},
+			wantRooted: []bool{false, true, false, false}},
+		{name: "same slice under a re-signed header with an altered root",
+			edit: func(t *testing.T, chains []*Chain, groups [][]*Block) {
+				b := groups[2][2]
+				b.Header.MerkleRoot[0] ^= 1
+				sig, err := signer.Sign(HashHeader(b.Header))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Sig = sig
+			},
+			wantErr:    []error{nil, nil, ErrBadMerkleRoot, nil},
+			wantRooted: []bool{true, false, true, false}},
+		{name: "same slice and signature under an altered root",
+			edit: func(t *testing.T, chains []*Chain, groups [][]*Block) {
+				groups[1][2].Header.MerkleRoot[0] ^= 1
+			},
+			wantErr:    []error{nil, ErrBadMerkleRoot, nil, nil},
+			wantRooted: []bool{true, true, false, false}},
+		{name: "copied slice with one altered record",
+			edit: func(t *testing.T, chains []*Chain, groups [][]*Block) {
+				b := groups[3][2]
+				b.Records = append([]Record(nil), b.Records...)
+				b.Records[7].Seq++
+			},
+			wantErr:    []error{nil, nil, nil, ErrBadMerkleRoot},
+			wantRooted: []bool{true, false, false, true}},
+		{name: "a chain of another authority verifies the signatures itself",
+			edit: func(t *testing.T, chains []*Chain, groups [][]*Block) {
+				chains[0].authority = stranger
+				chains[2].authority = stranger
+			},
+			wantErr:    []error{ErrUnknownAuthority, nil, ErrUnknownAuthority, nil},
+			wantRooted: []bool{true, false, false, false}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			chains, groups := make([]*Chain, replicas), make([][]*Block, replicas)
+			for k := range chains {
+				chains[k] = NewChain(leader.authority)
+				if err := chains[k].OpenLog(filepath.Join(dir, fmt.Sprintf("r%d.chain", k))); err != nil {
+					t.Fatal(err)
+				}
+				defer chains[k].CloseLog()
+				for _, b := range leader.blocks {
+					groups[k] = append(groups[k], &Block{Header: b.Header, Records: b.Records, Sig: b.Sig})
+				}
+			}
+			tc.edit(t, chains, groups)
+			sizes := make([]int64, replicas)
+			for k, c := range chains {
+				c.leafBuf, sizes[k] = nil, c.log.size
+			}
+			for k, err := range ImportBatches(chains, groups) {
+				c := chains[k]
+				if tc.wantErr[k] == nil {
+					if err != nil {
+						t.Errorf("replica %d: %v", k, err)
+					} else if !bytes.Equal(readBytes(t, c.log.path), readBytes(t, want)) {
+						t.Errorf("replica %d's file differs from WriteFile of the leader's blocks", k)
+					}
+				} else if !errors.Is(err, tc.wantErr[k]) || c.log.size != sizes[k] {
+					t.Errorf("replica %d: err %v, file %d -> %d bytes; want %v and nothing written",
+						k, err, sizes[k], c.log.size, tc.wantErr[k])
+				}
+				if rooted := c.leafBuf != nil; rooted != tc.wantRooted[k] {
+					t.Errorf("replica %d computed a Merkle root: %v, want %v", k, rooted, tc.wantRooted[k])
+				}
+			}
+		})
 	}
 }
 

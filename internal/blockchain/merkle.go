@@ -87,7 +87,7 @@ func sealWorkers() int { return max(1, runtime.GOMAXPROCS(0)-1) }
 
 // recordsRoot computes the Merkle root over records in the chain's scratch
 // buffers: the one function Seal, PrepareBlockAt, AppendUnsealed,
-// validateLink and Verify take their root from. Blocks of more than one
+// checkContent and Verify take their root from. Blocks of more than one
 // chunk spread their chunks over up to workers goroutines (the caller is
 // one of them; see auditWorkers and sealWorkers); the root is the same bit
 // for bit at any width.

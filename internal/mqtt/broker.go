@@ -31,10 +31,6 @@ type Broker struct {
 	ln       net.Listener
 	wg       sync.WaitGroup
 
-	// stats
-	packetsIn  uint64
-	packetsOut uint64
-
 	// store journals durable session state when SessionPath is set; nil
 	// otherwise (sessions die with the process, as before).
 	store *sessionStore
@@ -408,9 +404,6 @@ func (b *Broker) readLoop(s *session, conn net.Conn) error {
 		if err != nil {
 			return err
 		}
-		b.mu.Lock()
-		b.packetsIn++
-		b.mu.Unlock()
 		switch p := pkt.(type) {
 		case *PublishPacket:
 			if err := b.handlePublish(s, p); err != nil {
@@ -750,13 +743,7 @@ func (s *session) writeTo(conn net.Conn, p Packet) error {
 	s.wbuf = buf
 	_, err = conn.Write(buf)
 	s.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.broker.mu.Lock()
-	s.broker.packetsOut++
-	s.broker.mu.Unlock()
-	return nil
+	return err
 }
 
 // deliver sends an application message to this session's client, allocating
